@@ -51,15 +51,17 @@ def _add_solver_args(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _catalog_tensor(catalog_id: str) -> ComplexTensor:
+    try:
+        built = catalog.build(catalog_id)
+    except KeyError as exc:
+        raise InputError(str(exc)) from None
+    return built.tensor if isinstance(built, PureState) else built
+
+
 def _load_tensor(args) -> tuple[ComplexTensor, str]:
     if args.catalog:
-        try:
-            entry = catalog.get(args.catalog)
-        except KeyError as exc:
-            raise InputError(str(exc)) from None
-        built = entry.builder()
-        tensor = built.tensor if isinstance(built, PureState) else built
-        return tensor, args.catalog
+        return _catalog_tensor(args.catalog), args.catalog
     path = args.file
     try:
         with open(path) as fh:
@@ -124,22 +126,28 @@ def _print_solution(result: MultiStartResult, gme: float | None, seconds: float)
         print(f"x({mode})       = {coeffs}")
 
 
+def _run(tensor: ComplexTensor, cfg: SolverConfig) -> tuple[MultiStartResult, float]:
+    """``multi_start`` and its wall time; a ``SolverError`` propagates."""
+    t0 = time.perf_counter()
+    result = multi_start(tensor, cfg)
+    return result, time.perf_counter() - t0
+
+
 def _gme_if_state(tensor: ComplexTensor, eigenvalue: float) -> float | None:
-    if abs(norm(tensor) - 1.0) <= RENORM_TOLERANCE:
-        return gme_from_lambda(min(eigenvalue, 1.0))
-    return None
+    """GME when ``tensor`` is a unit-norm state, else None. An eigenvalue
+    above 1 on a state is a solver fault and raises ``SolverError``."""
+    if abs(norm(tensor) - 1.0) > RENORM_TOLERANCE:
+        return None
+    try:
+        return gme_from_lambda(eigenvalue)
+    except ValueError as exc:
+        raise SolverError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
     tensor, _ = _load_tensor(args)
     cfg = _config(args, _ALGO_FLAGS[args.algo])
-    t0 = time.perf_counter()
-    try:
-        result = multi_start(tensor, cfg)
-    except SolverError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    seconds = time.perf_counter() - t0
+    result, seconds = _run(tensor, cfg)
     gme = _gme_if_state(tensor, result.best.eigenvalue)
     if args.format == "json":
         print(json.dumps(_result_json(result, cfg, gme, seconds), indent=2))
@@ -157,32 +165,26 @@ def cmd_bench(args) -> int:
     rows = []
     for name in names:
         cfg = _config(args, _ALGO_FLAGS[name])
-        t0 = time.perf_counter()
         try:
-            result = multi_start(tensor, cfg)
+            result, seconds = _run(tensor, cfg)
+            gme = _gme_if_state(tensor, result.best.eigenvalue)
         except SolverError as exc:
-            print(f"{name}: numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        seconds = time.perf_counter() - t0
-        rows.append((name, result, seconds))
-    values = [r.best.eigenvalue for _, r, _ in rows]
+            raise SolverError(f"{name}: {exc}") from None
+        rows.append((name, cfg, result, gme, seconds))
+    values = [r.best.eigenvalue for _, _, r, _, _ in rows]
     agree = max(values) - min(values) <= 5e-4
     if args.format == "json":
         payload = {
             "agree": agree,
             "results": {
-                name: _result_json(
-                    res, _config(args, _ALGO_FLAGS[name]),
-                    _gme_if_state(tensor, res.best.eigenvalue), secs,
-                )
-                for name, res, secs in rows
+                name: _result_json(res, cfg, gme, secs)
+                for name, cfg, res, gme, secs in rows
             },
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"{'Algorithm':<14}{'lambda':>10}{'GME':>10}{'iters':>8}{'time(s)':>10}")
-        for name, res, secs in rows:
-            gme = _gme_if_state(tensor, res.best.eigenvalue)
+        for name, _, res, gme, secs in rows:
             gme_text = f"{gme:.4f}" if gme is not None else "-"
             print(
                 f"{name:<14}{res.best.eigenvalue:>10.4f}{gme_text:>10}"
@@ -194,7 +196,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    if any(not r.best.converged for _, r, _ in rows):
+    if any(not r.best.converged for _, _, r, _, _ in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -242,8 +244,7 @@ def cmd_tables(args) -> int:
         print(f"Table {t}")
         print(f"{'Fixture':<14}{'Algorithm':<14}{'lambda':>10}{'GME':>10}{'time(s)':>10}")
         for catalog_id, algos, overrides in _TABLE_ROWS[t]:
-            built = catalog.build(catalog_id)
-            tensor = built.tensor if isinstance(built, PureState) else built
+            tensor = _catalog_tensor(catalog_id)
             for name in algos:
                 cfg = SolverConfig(
                     algorithm=_ALGO_FLAGS[name],
@@ -253,16 +254,14 @@ def cmd_tables(args) -> int:
                     starts=args.starts,
                     seed=args.seed,
                 )
-                t0 = time.perf_counter()
                 try:
-                    result = multi_start(tensor, cfg)
+                    result, secs = _run(tensor, cfg)
+                    lam = result.best.eigenvalue
+                    gme = _gme_if_state(tensor, lam)
                 except SolverError as exc:
                     print(f"{catalog_id:<14}{name:<14}failed: {exc}")
                     status = EXIT_NUMERICAL
                     continue
-                secs = time.perf_counter() - t0
-                lam = result.best.eigenvalue
-                gme = _gme_if_state(tensor, lam)
                 gme_text = f"{gme:.4f}" if gme is not None else "-"
                 print(f"{catalog_id:<14}{name:<14}{lam:>10.4f}{gme_text:>10}{secs:>10.2f}")
         print()
@@ -278,26 +277,15 @@ def cmd_catalog(args) -> int:
             )
             print(f"{entry.id:<14}{dims:<16}{entry.kind:<8}{expected:<16}{entry.description}")
         return EXIT_OK
-    try:
-        built = catalog.build(args.id)
-    except KeyError as exc:
-        raise InputError(str(exc)) from None
-    tensor = built.tensor if isinstance(built, PureState) else built
-    print(json.dumps(tensor_to_json(tensor), indent=2))
+    print(json.dumps(tensor_to_json(_catalog_tensor(args.id)), indent=2))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     tensor, label = _load_tensor(args)
     cfg = _config(args, _ALGO_FLAGS[args.algo])
-    t0 = time.perf_counter()
-    try:
-        result = multi_start(tensor, cfg)
-        solver_lambda = result.best.eigenvalue
-    except SolverError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    seconds = time.perf_counter() - t0
+    result, seconds = _run(tensor, cfg)
+    solver_lambda = result.best.eigenvalue
     print(f"{label}: solver ({args.algo}) lambda = {solver_lambda:.6f}  [{seconds:.2f} s]")
     ok = True
     for res in evaluate_oracles(tensor, samples=args.samples, seed=args.seed):
@@ -378,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SolverError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -102,9 +102,8 @@ class GmeReport:
             f"{'Algorithm':<14}{'lambda':>10}{'GME':>10}{'iters':>8}{'time(s)':>10}"
         ]
         for name, s in self.stats.items():
-            gme = math.sqrt(max(2.0 - 2.0 * min(s.eigenvalue, 1.0), 0.0))
             lines.append(
-                f"{name:<14}{s.eigenvalue:>10.4f}{gme:>10.4f}"
+                f"{name:<14}{s.eigenvalue:>10.4f}{gme_from_lambda(s.eigenvalue):>10.4f}"
                 f"{s.iterations:>8d}{s.seconds:>10.2f}"
             )
         return "\n".join(lines)

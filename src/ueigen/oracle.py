@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ComplexTensor, _contract_all, _contract_excluding
+from .tensor import _AXIS_LETTERS, ComplexTensor, _contract_excluding
 
 __all__ = [
     "OracleResult",
@@ -92,8 +92,10 @@ def sampling_oracle(
         raise ValueError("samples must be >= 1")
     m = A.order
     conj_data = np.conj(A.data)
-    letters = "abcdefghijkl"[:m]
-    subscript = letters + "," + ",".join("z" + ch for ch in letters) + "->z"
+    if m >= len(_AXIS_LETTERS):
+        raise ValueError(f"sampling oracle supports order < {len(_AXIS_LETTERS)}")
+    letters, z = _AXIS_LETTERS[:m], _AXIS_LETTERS[m]
+    subscript = letters + "," + ",".join(z + ch for ch in letters) + "->" + z
     children = np.random.SeedSequence(seed).spawn(
         (samples + batch - 1) // batch
     )

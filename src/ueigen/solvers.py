@@ -5,16 +5,15 @@ lambda with per-mode unit eigenvectors x(1..m) satisfying, for every mode k,
 
     contract_excluding(A, x, k) = lambda * conj(x(k)),
 
-by iterating x_hat = lambda_prev * (conjugated contraction) + alpha * x and
-renormalizing:
+through one loop, ``_iterate``: x_hat = lambda_prev * (conjugated
+contraction) + alpha * x, then renormalize. One switch picks Jacobi order
+with joint rescaling (squared norms summing to one) or Gauss-Seidel order
+with per-vector normalization (later updates of a sweep read earlier ones):
 
-* ``embed``        -- iterate one vector on the symmetric embedding of A,
-                      then convert the embedded eigenpair back to A;
-* ``joint``        -- iterate all mode vectors simultaneously with a joint
-                      normalization (squared norms summing to one);
-* ``gauss_seidel`` -- sweep the modes in order, renormalizing each vector
-                      to unit norm immediately and using already-updated
-                      vectors within the sweep.
+* ``embed``        -- one vector on the symmetric embedding of A (the two
+                      orders coincide), then converted back to A;
+* ``joint``        -- the m mode vectors of A in Jacobi order;
+* ``gauss_seidel`` -- the m mode vectors of A in Gauss-Seidel order.
 
 With matched shifts (alpha_embedded = m!(m-1)! alpha) the embed and joint
 iterations produce identical iterates; the Gauss-Seidel sweep is distinct
@@ -22,17 +21,19 @@ and typically converges in far fewer iterations.
 
 Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` (the ``check_stop``
-criterion) *and* every mode vector moved by less than ``tol`` since the
-previous iteration. The displacement condition is needed because the
-eigenvalue estimate is stationary in the iterates: its increments fall
-below tol while the eigenvector error is still near sqrt(tol), which would
-leave residuals orders of magnitude above the eigenvalue accuracy.
+criterion) *and* every vector moved by less than ``tol`` (``tol / m`` for
+embed and joint) since the previous iteration. The displacement condition
+is needed because the eigenvalue estimate is stationary in the iterates:
+its increments fall below tol while the eigenvector error is still near
+sqrt(tol), which would leave residuals orders of magnitude above the
+eigenvalue accuracy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -188,6 +189,81 @@ def residual(A: ComplexTensor, pair: UEigenpair) -> float:
     return _residual_vectors(A, pair.eigenvalue, pair.factors.vectors)
 
 
+def _iterate(
+    value: Callable[[list[np.ndarray]], complex],
+    contract: Callable[[list[np.ndarray], int], np.ndarray],
+    vecs: list[np.ndarray],
+    alpha: float,
+    tol: float,
+    disp_tol: float,
+    max_iter: int,
+    record_iterates: bool,
+    gauss_seidel: bool,
+) -> tuple[list[np.ndarray], complex, IterationTrace]:
+    """The shifted power iteration of the module docstring.
+
+    ``value(vecs)`` is the eigenvalue estimate of an iterate and
+    ``contract(vecs, i)`` the contraction whose conjugate updates vector i.
+    Returns the final vectors, eigenvalue estimate and trace.
+    """
+    trace = IterationTrace(iterates=[] if record_iterates else None)
+    lam = value(vecs)
+    trace.record(0, lam, None)
+    if record_iterates:
+        trace.iterates.append([v.copy() for v in vecs])
+
+    for k in range(1, max_iter + 1):
+        if gauss_seidel:
+            displacement = 0.0
+            for i in range(len(vecs)):
+                update = lam * np.conj(contract(vecs, i)) + alpha * vecs[i]
+                nrm = float(np.linalg.norm(update))
+                if nrm == 0.0:
+                    raise BreakdownError(
+                        f"update for mode {i + 1} vanished at iteration {k}"
+                    )
+                update /= nrm
+                displacement = max(displacement, float(np.linalg.norm(update - vecs[i])))
+                vecs[i] = update
+        else:
+            updates = [
+                lam * np.conj(contract(vecs, i)) + alpha * v for i, v in enumerate(vecs)
+            ]
+            total = math.sqrt(sum(float(np.real(np.vdot(u, u))) for u in updates))
+            if total == 0.0:
+                raise BreakdownError(f"all update vectors vanished at iteration {k}")
+            new_vecs = [u / total for u in updates]
+            displacement = max(
+                float(np.linalg.norm(nv - v)) for nv, v in zip(new_vecs, vecs)
+            )
+            vecs = new_vecs
+        new_lam = value(vecs)
+        trace.record(k, new_lam, abs(abs(new_lam) - abs(lam)))
+        stop = check_stop((lam, new_lam), tol) and displacement < disp_tol
+        lam = new_lam
+        if record_iterates:
+            trace.iterates.append([v.copy() for v in vecs])
+        if stop:
+            trace.status = "converged"
+            break
+
+    if lam == 0:
+        raise ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
+    return vecs, lam, trace
+
+
+def _phase_corrected(
+    A: ComplexTensor, vecs, lam: complex, scale: float, trace: IterationTrace
+) -> UEigenpair:
+    """Eigenpair scale * |lam| with the factors rotated by a principal m-th
+    root of |lam| / lam, rescaled to unit norm, and checked by residual."""
+    lambda_a = scale * abs(lam)
+    phase = _principal_root(abs(lam) / lam, A.order)
+    factors = RankOneFactors.per_vector([phase * v for v in vecs])
+    res = _residual_vectors(A, lambda_a, factors.vectors)
+    return UEigenpair(lambda_a, factors, res, trace)
+
+
 def solve_embed(
     A: ComplexTensor,
     cfg: SolverConfig,
@@ -199,12 +275,12 @@ def solve_embed(
 
     ``start`` is a unit vector of length sum(dims). ``embedded`` may carry a
     precomputed embedding (reused across starts). The converged embedded
-    eigenpair is phase-corrected and converted back to an eigenpair of A.
+    eigenpair is phase-corrected and converted back to an eigenpair of A;
+    an iterate that does not convert raises ``SolverError``.
     """
     if embedded is None:
         embedded = sym_embed(A)
     m = A.order
-    alpha_s = shift_to_embedded(cfg.alpha, m)
     x = np.asarray(start, dtype=np.complex128).reshape(-1).copy()
     n = embedded.size
     if x.shape[0] != n:
@@ -213,43 +289,31 @@ def solve_embed(
         raise ValueError("start vector must have unit norm")
 
     conj_s = np.conj(embedded.tensor.data)
-    trace = IterationTrace(iterates=[] if record_iterates else None)
-    vecs = [x] * m
-    grad = _contract_excluding(conj_s, vecs, 0)
-    lam = complex(np.dot(grad, x))
-    trace.record(0, lam, None)
-    if record_iterates:
-        trace.iterates.append(x.copy())
+    grad = None
+
+    def value(vecs):
+        # Keeps the gradient for the next update: one contraction of S per step.
+        nonlocal grad
+        grad = _contract_excluding(conj_s, vecs * m, 0)
+        return complex(np.dot(grad, vecs[0]))
+
     # Returned factors are the blocks rescaled by sqrt(m); settling the
     # iterate m times tighter keeps their accuracy at tol with margin.
-    disp_tol = cfg.tol / m
+    (x,), lam, trace = _iterate(
+        value, lambda vecs, i: grad, [x], shift_to_embedded(cfg.alpha, m),
+        cfg.tol, cfg.tol / m, cfg.max_iter, record_iterates, gauss_seidel=True,
+    )
+    if record_iterates:
+        trace.iterates = [it for (it,) in trace.iterates]
 
-    for k in range(1, cfg.max_iter + 1):
-        x_hat = lam * np.conj(grad) + alpha_s * x
-        nrm = float(np.linalg.norm(x_hat))
-        if nrm == 0.0:
-            raise BreakdownError(f"update vector vanished at iteration {k}")
-        x_new = x_hat / nrm
-        vecs = [x_new] * m
-        grad = _contract_excluding(conj_s, vecs, 0)
-        new_lam = complex(np.dot(grad, x_new))
-        step_error = abs(abs(new_lam) - abs(lam))
-        displacement = float(np.linalg.norm(x_new - x))
-        trace.record(k, new_lam, step_error)
-        x, lam = x_new, new_lam
-        if record_iterates:
-            trace.iterates.append(x.copy())
-        if step_error < cfg.tol and displacement < disp_tol:
-            trace.status = "converged"
-            break
-
-    if lam == 0:
-        raise ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
     lambda_s = abs(lam)
     x = _principal_root(lambda_s / lam, m) * x
-    lifted = lift_eigenpair(
-        lambda_s, x, embedded.source_dims, check_block_norms=trace.converged
-    )
+    try:
+        lifted = lift_eigenpair(
+            lambda_s, x, embedded.source_dims, check_block_norms=trace.converged
+        )
+    except ValueError as exc:
+        raise SolverError(str(exc)) from None
     res = _residual_vectors(A, lifted.eigenvalue, lifted.factors.vectors)
     return UEigenpair(lifted.eigenvalue, lifted.factors, res, trace)
 
@@ -274,44 +338,14 @@ def solve_joint(
         raise ValueError("start factors must be jointly normalized")
 
     conj_data = np.conj(A.data)
-    trace = IterationTrace(iterates=[] if record_iterates else None)
-    lam = _contract_all(conj_data, vecs)
-    trace.record(0, lam, None)
-    if record_iterates:
-        trace.iterates.append([v.copy() for v in vecs])
     # Returned factors are the iterates rescaled by sqrt(m); settling the
     # iterates m times tighter keeps their accuracy at tol with margin.
-    disp_tol = cfg.tol / m
-
-    for k in range(1, cfg.max_iter + 1):
-        updates = [
-            lam * np.conj(_contract_excluding(conj_data, vecs, i)) + cfg.alpha * vecs[i]
-            for i in range(m)
-        ]
-        total = math.sqrt(sum(float(np.real(np.vdot(u, u))) for u in updates))
-        if total == 0.0:
-            raise BreakdownError(f"all update vectors vanished at iteration {k}")
-        new_vecs = [u / total for u in updates]
-        new_lam = _contract_all(conj_data, new_vecs)
-        step_error = abs(abs(new_lam) - abs(lam))
-        displacement = max(
-            float(np.linalg.norm(nv - v)) for nv, v in zip(new_vecs, vecs)
-        )
-        trace.record(k, new_lam, step_error)
-        vecs, lam = new_vecs, new_lam
-        if record_iterates:
-            trace.iterates.append([v.copy() for v in vecs])
-        if step_error < cfg.tol and displacement < disp_tol:
-            trace.status = "converged"
-            break
-
-    if lam == 0:
-        raise ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
-    lambda_a = math.sqrt(m) ** m * abs(lam)
-    phase = _principal_root(abs(lam) / lam, m)
-    factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    res = _residual_vectors(A, lambda_a, factors.vectors)
-    return UEigenpair(lambda_a, factors, res, trace)
+    vecs, lam, trace = _iterate(
+        partial(_contract_all, conj_data), partial(_contract_excluding, conj_data),
+        vecs, cfg.alpha, cfg.tol, cfg.tol / m, cfg.max_iter, record_iterates,
+        gauss_seidel=False,
+    )
+    return _phase_corrected(A, vecs, lam, math.sqrt(m) ** m, trace)
 
 
 def solve_gauss_seidel(
@@ -323,51 +357,18 @@ def solve_gauss_seidel(
     """Gauss-Seidel sweep: modes updated in order with immediate per-vector
     normalization, each update using the vectors already refreshed in the
     current sweep. ``start`` holds one unit vector per mode."""
-    m = A.order
     vecs = _vector_list(start, A.dims)
     for i, v in enumerate(vecs, start=1):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError(f"start vector for mode {i} must have unit norm")
 
     conj_data = np.conj(A.data)
-    trace = IterationTrace(iterates=[] if record_iterates else None)
-    lam = _contract_all(conj_data, vecs)
-    trace.record(0, lam, None)
-    if record_iterates:
-        trace.iterates.append([v.copy() for v in vecs])
-
-    for k in range(1, cfg.max_iter + 1):
-        displacement = 0.0
-        for i in range(m):
-            update = (
-                lam * np.conj(_contract_excluding(conj_data, vecs, i))
-                + cfg.alpha * vecs[i]
-            )
-            nrm = float(np.linalg.norm(update))
-            if nrm == 0.0:
-                raise BreakdownError(
-                    f"update for mode {i + 1} vanished at iteration {k}"
-                )
-            update /= nrm
-            displacement = max(displacement, float(np.linalg.norm(update - vecs[i])))
-            vecs[i] = update
-        new_lam = _contract_all(conj_data, vecs)
-        step_error = abs(abs(new_lam) - abs(lam))
-        trace.record(k, new_lam, step_error)
-        lam = new_lam
-        if record_iterates:
-            trace.iterates.append([v.copy() for v in vecs])
-        if step_error < cfg.tol and displacement < cfg.tol:
-            trace.status = "converged"
-            break
-
-    if lam == 0:
-        raise ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
-    lambda_a = abs(lam)
-    phase = _principal_root(lambda_a / lam, m)
-    factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    res = _residual_vectors(A, lambda_a, factors.vectors)
-    return UEigenpair(lambda_a, factors, res, trace)
+    vecs, lam, trace = _iterate(
+        partial(_contract_all, conj_data), partial(_contract_excluding, conj_data),
+        vecs, cfg.alpha, cfg.tol, cfg.tol, cfg.max_iter, record_iterates,
+        gauss_seidel=True,
+    )
+    return _phase_corrected(A, vecs, lam, 1.0, trace)
 
 
 def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):
@@ -410,17 +411,14 @@ class MultiStartResult:
         return tuple(r for r in self.runs if not r.ok)
 
 
-def _solver_for(algorithm: str) -> Callable:
-    return {
+def solve(A: ComplexTensor, cfg: SolverConfig, start, **kwargs) -> UEigenpair:
+    """Run the algorithm selected by ``cfg.algorithm`` from ``start``."""
+    solver = {
         "embed": solve_embed,
         "joint": solve_joint,
         "gauss_seidel": solve_gauss_seidel,
-    }[algorithm]
-
-
-def solve(A: ComplexTensor, cfg: SolverConfig, start, **kwargs) -> UEigenpair:
-    """Run the algorithm selected by ``cfg.algorithm`` from ``start``."""
-    return _solver_for(cfg.algorithm)(A, cfg, start, **kwargs)
+    }[cfg.algorithm]
+    return solver(A, cfg, start, **kwargs)
 
 
 def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
@@ -433,18 +431,13 @@ def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     winning ties.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
-    embedded = sym_embed(A) if cfg.algorithm == "embed" else None
-    solver = _solver_for(cfg.algorithm)
+    # The embedding is built once and shared by every start.
+    shared = {"embedded": sym_embed(A)} if cfg.algorithm == "embed" else {}
     runs = []
     for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        start = random_start(rng, A.dims, cfg.algorithm)
+        start = random_start(np.random.default_rng(child), A.dims, cfg.algorithm)
         try:
-            if cfg.algorithm == "embed":
-                pair = solver(A, cfg, start, embedded=embedded)
-            else:
-                pair = solver(A, cfg, start)
-            runs.append(StartResult(index, pair, None))
+            runs.append(StartResult(index, solve(A, cfg, start, **shared), None))
         except SolverError as exc:
             runs.append(StartResult(index, None, str(exc)))
     best = None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ueigen import is_symmetric, tensor_from_json
+import ueigen.cli
 from ueigen.cli import main
 
 
@@ -61,6 +63,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--file", str(tmp_path / "absent.json"))
         assert code == 2
 
+    def test_embed_lift_failure_is_numerical(self, capsys):
+        # At tol 1e-2 the embedded iterates stop before their block norms
+        # settle, so every start fails to lift: a numerical failure.
+        code, _, err = run(
+            capsys, "solve", "--catalog", "example_4_1", "--algo", "embed",
+            "--tol", "1e-2", "--starts", "3",
+        )
+        assert code == 4
+        assert "every start failed" in err and "block norms" in err
+
     def test_tensor_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         entries = [
@@ -87,6 +99,44 @@ class TestDeterminism:
         p1, p2 = json.loads(out1), json.loads(out2)
         p1.pop("timing"), p2.pop("timing")
         assert p1 == p2
+
+
+class TestLambdaAboveOne:
+    """A state whose best lambda exceeds 1 is a solver fault: exit 4."""
+
+    @pytest.fixture(autouse=True)
+    def inflated(self, monkeypatch):
+        real = ueigen.cli.multi_start
+
+        def fake(tensor, cfg):
+            result = real(tensor, cfg)
+            best = dataclasses.replace(result.best, eigenvalue=1.5)
+            return dataclasses.replace(result, best=best)
+
+        monkeypatch.setattr(ueigen.cli, "multi_start", fake)
+
+    def test_solve(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--catalog", "example_4_1", "--starts", "2"
+        )
+        assert code == 4
+        assert out == ""
+        assert "exceeds 1" in err
+
+    def test_bench(self, capsys):
+        code, _, err = run(
+            capsys, "bench", "--catalog", "example_4_1", "--starts", "2",
+            "--algos", "joint,gauss-seidel",
+        )
+        assert code == 4
+        assert "exceeds 1" in err
+
+    def test_tables(self, capsys):
+        code, out, _ = run(capsys, "tables", "--tables", "1", "--starts", "1")
+        assert code == 4
+        rows = [l for l in out.splitlines() if l.startswith("example_4_1")]
+        assert len(rows) == 3
+        assert all("failed" in row and "exceeds 1" in row for row in rows)
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -106,6 +107,14 @@ class TestAnalyze:
         table = report.format_table()
         assert "gauss_seidel" in table
         assert "0.8165" in table
+
+    def test_report_table_rejects_lambda_above_one(self, ex41):
+        cfg = SolverConfig(algorithm="gauss_seidel", starts=1, seed=0)
+        report = analyze(ex41, cfg)
+        stats = report.stats["gauss_seidel"]
+        report.stats["gauss_seidel"] = dataclasses.replace(stats, eigenvalue=1.5)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            report.format_table()
 
 
 class TestVerifyClosest:

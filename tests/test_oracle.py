@@ -14,6 +14,7 @@ from ueigen import (
     sampling_oracle,
     svd_oracle,
 )
+from ueigen import catalog
 from ueigen.catalog import example_4_1, example_4_2, example_4_7
 from conftest import random_tensor
 
@@ -79,6 +80,18 @@ class TestSamplingOracle:
         a = sampling_oracle(T, samples=3000, seed=4, batch=512)
         b = sampling_oracle(T, samples=3000, seed=4, batch=512)
         assert a == b
+
+    def test_order_thirteen(self):
+        # More modes than the twelve letters the subscript once had.
+        state = catalog.random_state((2,) * 13, seed=0)
+        bound = sampling_oracle(state.tensor, samples=8, seed=0)
+        assert 0.0 < bound <= 1.0
+
+    def test_order_beyond_labels_rejected(self):
+        # Order 26 fits the contraction labels but leaves none for samples.
+        A = ComplexTensor(np.ones((1,) * 26))
+        with pytest.raises(ValueError, match="order < 26"):
+            sampling_oracle(A, samples=1)
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):

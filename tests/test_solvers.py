@@ -9,6 +9,7 @@ from ueigen import (
     SolverConfig,
     SolverError,
     ZeroEigenvalueError,
+    catalog,
     check_stop,
     multi_start,
     overlap,
@@ -301,3 +302,27 @@ class TestMultiStart:
         assert sum(n * n for n in f.norms()) == pytest.approx(1.0, abs=1e-12)
         f = random_start(rng, (2, 3), "gauss_seidel")
         assert all(abs(n - 1) <= 1e-12 for n in f.norms())
+
+
+# Per-start iteration counts of the seed-0, 10-start, tol-1e-9 runs. Any
+# change to the shared iteration loop that moves a bit shows up here.
+PINNED_ITERATIONS = {
+    ("example_4_1", "embed"): [885, 820, 878, 843, 921, 792, 911, 944, 1005, 988],
+    ("example_4_1", "joint"): [896, 906, 878, 851, 822, 845, 980, 1020, 982, 800],
+    ("example_4_1", "gauss_seidel"): [134, 134, 132, 128, 127, 127, 144, 146, 151, 120],
+    ("example_4_2", "embed"): [1020, 1020, 1339, 1162, 1004, 1080, 1145, 952, 1021, 1082],
+    ("example_4_2", "joint"): [1054, 1027, 1138, 1039, 1022, 1015, 1144, 986, 1035, 985],
+    ("example_4_2", "gauss_seidel"): [145, 135, 153, 137, 139, 138, 150, 138, 144, 131],
+}
+PINNED_LAMBDA = {"example_4_1": math.sqrt(2 / 3), "example_4_2": math.sqrt(1 / 3)}
+
+
+@pytest.mark.parametrize("fixture,algorithm", sorted(PINNED_ITERATIONS))
+def test_pinned_iteration_counts(fixture, algorithm):
+    cfg = SolverConfig(algorithm=algorithm, tol=1e-9, starts=10, seed=0)
+    result = multi_start(catalog.build(fixture).tensor, cfg)
+    assert [r.pair.iterations for r in result.runs] == PINNED_ITERATIONS[
+        fixture, algorithm
+    ]
+    assert all(r.pair.converged for r in result.runs)
+    assert abs(result.best.eigenvalue - PINNED_LAMBDA[fixture]) <= 1e-12
