@@ -159,6 +159,8 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     tensor, _ = _load_tensor(args)
     names = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not names:
+        raise InputError(f"--algos names no algorithm: {args.algos!r}")
     for name in names:
         if name not in _ALGO_FLAGS:
             raise InputError(f"unknown algorithm {name!r}; choose from {sorted(_ALGO_FLAGS)}")
@@ -236,6 +238,8 @@ _TABLE_ROWS: dict[int, list[tuple[str, list[str], dict]]] = {
 
 def cmd_tables(args) -> int:
     wanted = sorted(int(t) for t in args.tables.split(",") if t.strip())
+    if not wanted:
+        raise InputError(f"--tables names no table: {args.tables!r}")
     for t in wanted:
         if t not in _TABLE_ROWS:
             raise InputError(f"no table {t}; available: {sorted(_TABLE_ROWS)}")

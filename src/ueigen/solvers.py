@@ -10,8 +10,9 @@ contraction) + alpha * x, then renormalize. One switch picks Jacobi order
 with joint rescaling (squared norms summing to one) or Gauss-Seidel order
 with per-vector normalization (later updates of a sweep read earlier ones):
 
-* ``embed``        -- one vector on the symmetric embedding of A (the two
-                      orders coincide), then converted back to A;
+* ``embed``        -- one vector on the symmetric embedding S of A (the two
+                      orders coincide; S's gradient is read blockwise from
+                      A), then converted back to A;
 * ``joint``        -- the m mode vectors of A in Jacobi order;
 * ``gauss_seidel`` -- the m mode vectors of A in Gauss-Seidel order.
 
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddedTensor, lift_eigenpair, shift_to_embedded, sym_embed
+from .embedding import lift_eigenpair, shift_to_embedded
 from .tensor import ComplexTensor, RankOneFactors, _contract_all, _contract_excluding
 
 __all__ = [
@@ -268,33 +269,36 @@ def solve_embed(
     A: ComplexTensor,
     cfg: SolverConfig,
     start: np.ndarray,
-    embedded: EmbeddedTensor | None = None,
     record_iterates: bool = False,
 ) -> UEigenpair:
-    """Power iteration on the symmetric embedding of ``A``.
+    """Power iteration on the symmetric embedding S of ``A``, read from A.
 
-    ``start`` is a unit vector of length sum(dims). ``embedded`` may carry a
-    precomputed embedding (reused across starts). The converged embedded
-    eigenpair is phase-corrected and converted back to an eigenpair of A;
-    an iterate that does not convert raises ``SolverError``.
+    ``start`` is a unit vector of length sum(dims). S is never built: block i
+    of its gradient is (m-1)! times A contracted with the other blocks of x.
+    The converged embedded eigenpair is phase-corrected and converted back to
+    an eigenpair of A; an iterate that does not convert raises ``SolverError``.
     """
-    if embedded is None:
-        embedded = sym_embed(A)
     m = A.order
+    if m < 2:
+        raise ValueError("symmetric embedding needs an order >= 2 tensor")
     x = np.asarray(start, dtype=np.complex128).reshape(-1).copy()
-    n = embedded.size
+    n = sum(A.dims)
     if x.shape[0] != n:
         raise ValueError(f"start has length {x.shape[0]}, embedding size is {n}")
     if abs(np.linalg.norm(x) - 1.0) > 1e-8:
         raise ValueError("start vector must have unit norm")
 
-    conj_s = np.conj(embedded.tensor.data)
+    conj_a = np.conj(A.data)
+    splits = np.cumsum(A.dims)[:-1]
     grad = None
 
     def value(vecs):
-        # Keeps the gradient for the next update: one contraction of S per step.
+        # Keeps the gradient for the next update: one blockwise pass per step.
         nonlocal grad
-        grad = _contract_excluding(conj_s, vecs * m, 0)
+        blocks = np.split(vecs[0], splits)
+        grad = math.factorial(m - 1) * np.concatenate(
+            [_contract_excluding(conj_a, blocks, i) for i in range(m)]
+        )
         return complex(np.dot(grad, vecs[0]))
 
     # Returned factors are the blocks rescaled by sqrt(m); settling the
@@ -309,9 +313,7 @@ def solve_embed(
     lambda_s = abs(lam)
     x = _principal_root(lambda_s / lam, m) * x
     try:
-        lifted = lift_eigenpair(
-            lambda_s, x, embedded.source_dims, check_block_norms=trace.converged
-        )
+        lifted = lift_eigenpair(lambda_s, x, A.dims, check_block_norms=trace.converged)
     except ValueError as exc:
         raise SolverError(str(exc)) from None
     res = _residual_vectors(A, lifted.eigenvalue, lifted.factors.vectors)
@@ -431,13 +433,11 @@ def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     winning ties.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
-    # The embedding is built once and shared by every start.
-    shared = {"embedded": sym_embed(A)} if cfg.algorithm == "embed" else {}
     runs = []
     for index, child in enumerate(children):
         start = random_start(np.random.default_rng(child), A.dims, cfg.algorithm)
         try:
-            runs.append(StartResult(index, solve(A, cfg, start, **shared), None))
+            runs.append(StartResult(index, solve(A, cfg, start), None))
         except SolverError as exc:
             runs.append(StartResult(index, None, str(exc)))
     best = None

@@ -168,6 +168,14 @@ class TestBench:
         assert code == 2
         assert "unknown algorithm" in err
 
+    def test_empty_algorithm_list(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--catalog", "example_4_1", "--algos", ","
+        )
+        assert code == 2
+        assert "--algos" in err
+        assert out == ""
+
 
 class TestEmbed:
     def test_two_by_two(self, capsys, tmp_path):
@@ -219,6 +227,12 @@ class TestTables:
     def test_invalid_table(self, capsys):
         code, _, err = run(capsys, "tables", "--tables", "9")
         assert code == 2
+
+    def test_empty_table_list(self, capsys):
+        code, out, err = run(capsys, "tables", "--tables", "")
+        assert code == 2
+        assert "--tables" in err
+        assert out == ""
 
 
 class TestCatalogCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ class TestStartValidation:
         with pytest.raises(ValueError, match="unit norm"):
             solve_embed(ex41.tensor, cfg, np.ones(6, dtype=complex))
 
+    def test_embed_rejects_order_one(self):
+        A = ComplexTensor(np.array([0.6, 0.8j]))
+        cfg = SolverConfig(algorithm="embed", starts=2)
+        with pytest.raises(ValueError, match="order >= 2"):
+            solve_embed(A, cfg, np.array([1.0, 0.0], dtype=complex))
+        with pytest.raises(ValueError, match="order >= 2"):
+            multi_start(A, cfg)
+
     def test_joint_requires_joint_normalization(self, ex41):
         rng = np.random.default_rng(2)
         cfg = SolverConfig(algorithm="joint")
@@ -120,6 +129,24 @@ class TestStartValidation:
             SolverConfig(starts=0)
         with pytest.raises(ValueError):
             SolverConfig(algorithm="hopm")
+
+
+class TestEmbedMemory:
+    # The embedding S has (sum dims)^m entries: 13 MB for example_4_7 and
+    # 386 MB for example_4_6. The solver reads A's blocks and never builds it.
+    @pytest.mark.parametrize("fixture", ["example_4_7", "example_4_6"])
+    def test_peak_stays_far_below_the_embedding(self, fixture):
+        built = catalog.build(fixture)
+        A = getattr(built, "tensor", built)
+        start = random_start(np.random.default_rng(0), A.dims, "embed")
+        cfg = SolverConfig(algorithm="embed", max_iter=50)
+        tracemalloc.start()
+        try:
+            solve_embed(A, cfg, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestResidual:
