@@ -237,7 +237,13 @@ _TABLE_ROWS: dict[int, list[tuple[str, list[str], dict]]] = {
 
 
 def cmd_tables(args) -> int:
-    wanted = sorted(int(t) for t in args.tables.split(",") if t.strip())
+    try:
+        wanted = sorted(int(t) for t in args.tables.split(",") if t.strip())
+    except ValueError:
+        raise InputError(
+            f"--tables takes comma-separated table numbers, got {args.tables!r}; "
+            f"available: {sorted(_TABLE_ROWS)}"
+        ) from None
     if not wanted:
         raise InputError(f"--tables names no table: {args.tables!r}")
     for t in wanted:
@@ -286,6 +292,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     tensor, label = _load_tensor(args)
     cfg = _config(args, _ALGO_FLAGS[args.algo])
     result, seconds = _run(tensor, cfg)
@@ -293,14 +301,13 @@ def cmd_oracle(args) -> int:
     print(f"{label}: solver ({args.algo}) lambda = {solver_lambda:.6f}  [{seconds:.2f} s]")
     ok = True
     for res in evaluate_oracles(tensor, samples=args.samples, seed=args.seed):
-        if res.method == "sampling":
-            consistent = res.lambda_lower_bound <= solver_lambda + 1e-6
-        else:
-            consistent = abs(res.lambda_lower_bound - solver_lambda) <= 1e-6
+        lower, upper = res.lambda_lower_bound, res.lambda_upper_bound
+        consistent = lower - 1e-6 <= solver_lambda <= upper + 1e-6
         ok = ok and consistent
+        certified = "certified  " if upper - lower <= 1e-12 else ""
         print(
-            f"  {res.method:<10} {res.lambda_lower_bound:.6f}  "
-            f"{'ok' if consistent else 'MISMATCH'}"
+            f"  {res.method:<10} [{lower:.6f}, {upper:.6f}]  "
+            f"{certified}{'ok' if consistent else 'MISMATCH'}"
         )
     return EXIT_OK if ok else EXIT_NUMERICAL
 

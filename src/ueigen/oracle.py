@@ -2,14 +2,12 @@
 
 None of these share iteration machinery with the solvers: the matrix oracle
 runs plain power iteration on the Gram operator, the sampling oracle
-evaluates random product states directly, and the orthogonal-sum oracle is
-a closed-form value for tensors whose nonzero entries are separated enough
-that no product state can combine them.
+evaluates random product states directly, and the flattening interval reads
+lambda off the singular values of the tensor's matrix reshapings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +19,6 @@ __all__ = [
     "OracleResult",
     "svd_oracle",
     "sampling_oracle",
-    "orthogonal_sum_oracle",
     "evaluate_oracles",
 ]
 
@@ -29,31 +26,9 @@ __all__ = [
 @dataclass(frozen=True)
 class OracleResult:
     lambda_lower_bound: float
-    method: str  # "svd" | "sampling" | "analytic"
+    method: str  # "sampling" | "flattening"
     samples: int | None = None
-    iterations: int | None = None
-
-
-def _gram_power_iteration(
-    A: ComplexTensor, tol: float, max_iter: int, seed: int
-) -> tuple[float, int]:
-    conj_data = np.conj(A.data)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    v = rng.standard_normal(A.dims[1]) + 1j * rng.standard_normal(A.dims[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for k in range(1, max_iter + 1):
-        w = _contract_excluding(conj_data, (None, v), 0)  # conj(M) v
-        new_sigma = float(np.linalg.norm(w))
-        if new_sigma == 0.0:
-            return 0.0, k
-        # adjoint application: rows of conj(M) against w
-        u = np.conj(_contract_excluding(conj_data, (np.conj(w), None), 1))
-        v = u / np.linalg.norm(u)
-        if abs(new_sigma - sigma) < tol:
-            return new_sigma, k
-        sigma = new_sigma
-    return sigma, max_iter
+    lambda_upper_bound: float = math.inf
 
 
 def svd_oracle(
@@ -72,7 +47,22 @@ def svd_oracle(
     """
     if A.order != 2:
         raise ValueError(f"svd oracle needs a matrix, got order {A.order}")
-    sigma, _ = _gram_power_iteration(A, tol, max_iter, seed)
+    conj_data = np.conj(A.data)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    v = rng.standard_normal(A.dims[1]) + 1j * rng.standard_normal(A.dims[1])
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(max_iter):
+        w = _contract_excluding(conj_data, (None, v), 0)  # conj(M) v
+        new_sigma = float(np.linalg.norm(w))
+        if new_sigma == 0.0:
+            return 0.0
+        # adjoint application: rows of conj(M) against w
+        u = np.conj(_contract_excluding(conj_data, (np.conj(w), None), 1))
+        v = u / np.linalg.norm(u)
+        if abs(new_sigma - sigma) < tol:
+            return new_sigma
+        sigma = new_sigma
     return sigma
 
 
@@ -115,69 +105,36 @@ def sampling_oracle(
     return best
 
 
-def _disjoint_bipartition_exists(indices: np.ndarray, dims: tuple[int, ...]) -> bool:
-    """True if the modes split into two groups such that every pair of
-    nonzero entries differs somewhere inside each group."""
-    m = len(dims)
-    n_entries = indices.shape[0]
-    if n_entries < 2:
-        return True
-    # Pigeonhole prefilter: pairwise-distinct flattened indices on a side
-    # require at least n_entries slots there. This rejects dense tensors
-    # before any pairwise work.
-    total = math.prod(dims)
-    candidates = []
-    for r in range(1, m // 2 + 1):
-        for group in itertools.combinations(range(m), r):
-            side = math.prod(dims[k] for k in group)
-            if n_entries <= side and n_entries <= total // side:
-                mask = np.zeros(m, dtype=bool)
-                mask[list(group)] = True
-                candidates.append(mask)
-    if not candidates:
-        return False
-    # diff[e, f, k]: entries e and f differ in mode k
-    diff = indices[:, None, :] != indices[None, :, :]
-    pair_diff = diff[np.triu_indices(n_entries, k=1)]  # (n_pairs, m)
-    for mask in candidates:
-        if np.all(pair_diff[:, mask].any(axis=1)) and np.all(
-            pair_diff[:, ~mask].any(axis=1)
-        ):
-            return True
-    return False
+def _flattening_interval(A: ComplexTensor) -> tuple[float, float]:
+    """``max|entry| <= lambda <= min sigma_1`` over the flattenings of ``A``.
 
-
-def orthogonal_sum_oracle(A: ComplexTensor) -> float | None:
-    """Exact largest eigenvalue for sufficiently index-separated tensors.
-
-    Applies when the modes admit a bipartition in which the nonzero entries
-    are pairwise distinct on both sides: flattened over that bipartition
-    the entries occupy distinct rows and distinct columns, so the singular
-    values are exactly the entry moduli and the best product state picks
-    the largest one. Returns that modulus, or None when no such bipartition
-    exists (the value would not be certified).
+    A flattening reshapes ``A`` into a matrix whose rows are mode 0 and a
+    subset of the other modes, the columns the rest. A product state stays
+    a product state across the split, so each sigma_1 bounds lambda from
+    above (Wei & Goldbart, PRA 68, 042307, 2003); a product of basis vectors
+    is a product state, so max|entry| bounds it from below. For order <= 2
+    the one flattening is ``A`` itself (a column for order 1) and sigma_1
+    is exact.
     """
-    if A.order < 2:
-        return float(np.max(np.abs(A.data))) if A.data.size else None
-    indices = np.argwhere(A.data != 0)
-    if indices.shape[0] == 0:
-        return 0.0
-    if _disjoint_bipartition_exists(indices, A.dims):
-        return float(np.max(np.abs(A.data)))
-    return None
+    m = A.order
+    upper = math.inf
+    for mask in range(max(1, 2 ** (m - 1) - 1)):
+        rows = [0] + [k for k in range(1, m) if mask >> (k - 1) & 1]
+        matrix = np.moveaxis(A.data, rows, range(len(rows))).reshape(
+            math.prod(A.dims[k] for k in rows), -1
+        )
+        upper = min(upper, float(np.linalg.svd(matrix, compute_uv=False)[0]))
+    lower = upper if m <= 2 else float(np.max(np.abs(A.data)))
+    return lower, upper
 
 
 def evaluate_oracles(
     A: ComplexTensor, samples: int = 10_000, seed: int = 0
 ) -> list[OracleResult]:
-    """Every applicable oracle value for ``A``, sampling bound first."""
+    """The sampling lower bound, then the flattening interval on lambda."""
     results = [
         OracleResult(sampling_oracle(A, samples, seed), "sampling", samples=samples)
     ]
-    if A.order == 2:
-        sigma, iterations = _gram_power_iteration(A, 1e-12, 200_000, seed)
-        results.append(OracleResult(sigma, "svd", iterations=iterations))
-    analytic = orthogonal_sum_oracle(A)
-    if analytic is not None:
-        results.append(OracleResult(analytic, "analytic"))
+    lower, upper = _flattening_interval(A)
+    results.append(OracleResult(lower, "flattening", lambda_upper_bound=upper))
     return results

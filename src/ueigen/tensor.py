@@ -266,8 +266,8 @@ def _overlap_subscript(m: int) -> str:
 @lru_cache(maxsize=None)
 def _exclude_subscript(m: int, k0: int) -> str:
     letters = _AXIS_LETTERS[:m]
-    kept = ",".join(letters[i] for i in range(m) if i != k0)
-    return f"{letters},{kept}->{letters[k0]}"
+    kept = "".join("," + letters[i] for i in range(m) if i != k0)
+    return f"{letters}{kept}->{letters[k0]}"
 
 
 def _contract_all(conj_data: np.ndarray, vecs: Sequence[np.ndarray]) -> complex:

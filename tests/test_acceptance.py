@@ -15,11 +15,11 @@ from ueigen import (
     RankOneFactors,
     SolverConfig,
     contract_excluding,
+    evaluate_oracles,
     gme_from_lambda,
     is_symmetric,
     multi_start,
     norm,
-    orthogonal_sum_oracle,
     overlap,
     residual,
     sampling_oracle,
@@ -157,17 +157,19 @@ def test_criterion_06_table7_example_4_7():
     T = example_4_7()
     cfg = SolverConfig(algorithm="gauss_seidel", tol=1e-9, starts=10, seed=0)
     lam = multi_start(T, cfg).best.eigenvalue
-    analytic = orthogonal_sum_oracle(T)
+    flattening = evaluate_oracles(T, samples=1000, seed=0)[1]
+    lower, upper = flattening.lambda_lower_bound, flattening.lambda_upper_bound
     ok = (
         abs(lam - 0.5774) <= VALUE_TOL
-        and analytic == math.sqrt(1 / 3)
-        and abs(lam - analytic) <= 1e-7
+        and upper - lower <= 1e-12
+        and lower == math.sqrt(1 / 3)
+        and abs(lam - lower) <= 1e-7
     )
     report(
         6,
-        "four-term fixture vs analytic oracle",
+        "four-term fixture vs certified flattening interval",
         ok,
-        f"lam={lam:.6f} oracle={analytic:.6f}",
+        f"lam={lam:.6f} interval=[{lower:.6f}, {upper:.6f}]",
     )
 
 

@@ -73,6 +73,20 @@ class TestSolve:
         assert code == 4
         assert "every start failed" in err and "block norms" in err
 
+    @pytest.mark.parametrize("algo", ["joint", "gauss-seidel"])
+    def test_order_one_tensor(self, capsys, tmp_path, algo):
+        # an order-1 tensor's only product state is a unit vector: lambda = |T|
+        path = tmp_path / "v.json"
+        entries = [{"idx": [1], "re": 0.6, "im": 0.0}, {"idx": [2], "re": 0.8, "im": 0.0}]
+        path.write_text(json.dumps({"dims": [2], "entries": entries}))
+        code, out, _ = run(
+            capsys, "solve", "--file", str(path), "--algo", algo, "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lambda"] == pytest.approx(1.0, abs=1e-9)
+        assert payload["status"] == "converged"
+
     def test_tensor_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         entries = [
@@ -228,6 +242,13 @@ class TestTables:
         code, _, err = run(capsys, "tables", "--tables", "9")
         assert code == 2
 
+    def test_non_numeric_table(self, capsys):
+        code, out, err = run(capsys, "tables", "--tables", "abc")
+        assert code == 2
+        assert "--tables" in err and "[1, 2, 3, 4]" in err
+        assert "invalid literal" not in err
+        assert out == ""
+
     def test_empty_table_list(self, capsys):
         code, out, err = run(capsys, "tables", "--tables", "")
         assert code == 2
@@ -262,11 +283,11 @@ class TestOracleCommand:
             "--starts", "3",
         )
         assert code == 0
-        assert "analytic" in out
-        assert "0.577350" in out
+        assert "certified" in out
+        assert "[0.577350, 0.577350]" in out
         assert "MISMATCH" not in out
 
-    def test_matrix_gets_svd_row(self, capsys, tmp_path):
+    def test_matrix_gets_certified_row(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(
             json.dumps(
@@ -281,5 +302,24 @@ class TestOracleCommand:
         )
         code, out, _ = run(capsys, "oracle", "--file", str(path), "--samples", "2000")
         assert code == 0
-        assert "svd" in out
-        assert "0.800000" in out
+        assert "certified" in out
+        assert "[0.800000, 0.800000]" in out
+
+    def test_uncertified_interval_brackets_solver(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--catalog", "example_4_2", "--samples", "2000",
+            "--starts", "3",
+        )
+        assert code == 0
+        assert "certified" not in out
+        assert ", 0.577350]  ok" in out
+
+    def test_invalid_samples_rejected_before_solving(self, capsys, monkeypatch):
+        def no_solve(tensor, cfg):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(ueigen.cli, "multi_start", no_solve)
+        code, out, err = run(capsys, "oracle", "--catalog", "example_4_1", "--samples", "0")
+        assert code == 2
+        assert "--samples" in err
+        assert out == ""

@@ -6,17 +6,24 @@ import pytest
 from ueigen import (
     ComplexTensor,
     SolverConfig,
+    evaluate_oracles,
     from_array,
     from_sparse,
     multi_start,
     norm,
-    orthogonal_sum_oracle,
     sampling_oracle,
     svd_oracle,
 )
 from ueigen import catalog
 from ueigen.catalog import example_4_1, example_4_2, example_4_7
 from conftest import random_tensor
+
+
+def interval(T):
+    """(lower, upper) of the flattening row of ``evaluate_oracles``."""
+    row = evaluate_oracles(T, samples=1)[1]
+    assert row.method == "flattening"
+    return row.lambda_lower_bound, row.lambda_upper_bound
 
 
 class TestSvdOracle:
@@ -99,42 +106,56 @@ class TestSamplingOracle:
 
 
 class TestOrthogonalSumOracle:
+    """The inputs the orthogonal-sum search was tested on, now checked
+    against the flattening interval: "applicable" means the interval
+    closes on max|entry|."""
+
     def test_four_term_fixture_exact(self):
         T = example_4_7()
-        value = orthogonal_sum_oracle(T)
-        assert value == math.sqrt(1 / 3)
-        assert value == float(np.max(np.abs(T.data)))
+        lower, upper = interval(T)
+        assert lower == math.sqrt(1 / 3)
+        assert lower == float(np.max(np.abs(T.data)))
+        assert upper - lower <= 1e-12
 
     def test_single_entry(self):
         T = from_sparse((3, 2, 2), {(2, 1, 2): 0.9j})
-        assert orthogonal_sum_oracle(T) == pytest.approx(0.9, abs=1e-15)
+        lower, upper = interval(T)
+        assert lower == pytest.approx(0.9, abs=1e-15)
+        assert upper - lower <= 1e-12
 
     def test_zero_tensor(self):
-        assert orthogonal_sum_oracle(from_sparse((2, 2), {})) == 0.0
+        assert interval(from_sparse((2, 2), {})) == (0.0, 0.0)
 
     def test_two_amplitude_state_applicable(self):
         # entries share a mode-2 index but split cleanly over {1} x {2,3}
-        value = orthogonal_sum_oracle(example_4_1().tensor)
-        assert value == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+        lower, upper = interval(example_4_1().tensor)
+        assert lower == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+        assert upper - lower <= 1e-12
 
     def test_w_state_not_applicable(self):
-        # every bipartition has a pair of entries agreeing on one side
+        # every flattening of W has sigma_1 = sqrt(2/3) > max entry sqrt(1/3)
         c = 1 / math.sqrt(3)
         W = from_sparse((2, 2, 2), {(1, 2, 2): c, (2, 1, 2): c, (2, 2, 1): c})
-        assert orthogonal_sum_oracle(W) is None
+        lower, upper = interval(W)
+        assert lower == pytest.approx(c, abs=1e-15)
+        assert upper - lower > 1e-3
 
-    def test_shared_row_not_applicable(self):
+    def test_shared_row_certified(self):
+        # a rank-one matrix: sigma_1 is the row norm, not the larger entry
         T = from_sparse((2, 2), {(1, 1): 0.6, (1, 2): 0.8})
-        assert orthogonal_sum_oracle(T) is None
+        lower, upper = interval(T)
+        assert lower == upper == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_matrix_applicable(self):
         T = from_array(np.diag([0.6, 0.8]))
-        assert orthogonal_sum_oracle(T) == pytest.approx(0.8)
+        lower, upper = interval(T)
+        assert lower == upper == pytest.approx(0.8, abs=1e-12)
 
     def test_dense_tensor_not_applicable(self):
         rng = np.random.default_rng(5)
         T = random_tensor(rng, (4, 4, 4))
-        assert orthogonal_sum_oracle(T) is None
+        lower, upper = interval(T)
+        assert upper - lower > 1e-3
 
     def test_w_state_value_exceeds_max_entry(self):
         # soundness guard: the inapplicable case really is above max entry
@@ -143,6 +164,8 @@ class TestOrthogonalSumOracle:
         cfg = SolverConfig(algorithm="gauss_seidel", starts=10, seed=0)
         lam = multi_start(W, cfg).best.eigenvalue
         assert lam > c + 1e-3
+        lower, upper = interval(W)
+        assert lower <= lam <= upper + 1e-9
 
 
 class TestOracleBounds:
@@ -151,25 +174,44 @@ class TestOracleBounds:
         for _ in range(5):
             T = random_tensor(rng, (3, 3, 2))
             assert sampling_oracle(T, 1000, seed=7) <= norm(T) + 1e-10
-            value = orthogonal_sum_oracle(T)
-            if value is not None:
-                assert value <= norm(T) + 1e-10
+            lower, upper = interval(T)
+            assert lower <= upper <= norm(T) + 1e-10
 
     def test_evaluate_oracles_collects_applicable_methods(self):
-        from ueigen import evaluate_oracles
-
         results = evaluate_oracles(example_4_7(), samples=2000, seed=0)
-        methods = {r.method for r in results}
-        assert methods == {"sampling", "analytic"}
+        assert [r.method for r in results] == ["sampling", "flattening"]
         for r in results:
             assert r.lambda_lower_bound <= norm(example_4_7()) + 1e-10
-        sampling = next(r for r in results if r.method == "sampling")
+        sampling, flattening = results
         assert sampling.samples == 2000
+        assert sampling.lambda_upper_bound == math.inf
+        assert flattening.lambda_lower_bound == flattening.lambda_upper_bound
 
         rng = np.random.default_rng(8)
         matrix = random_tensor(rng, (3, 4))
-        results = evaluate_oracles(matrix, samples=500, seed=1)
-        svd = next(r for r in results if r.method == "svd")
-        assert svd.iterations is not None and svd.iterations > 0
+        flattening = evaluate_oracles(matrix, samples=500, seed=1)[1]
         expected = float(np.linalg.svd(matrix.data, compute_uv=False)[0])
-        assert svd.lambda_lower_bound == pytest.approx(expected, abs=1e-9)
+        assert flattening.lambda_lower_bound == expected
+        assert flattening.lambda_upper_bound == expected
+
+    def test_order_one_interval_is_the_norm(self):
+        T = from_array(np.array([0.6, 0.8j]))
+        lower, upper = interval(T)
+        assert lower == upper == pytest.approx(1.0, abs=1e-15)
+
+    def test_example_4_2_upper_bound_is_exact(self):
+        # max|entry| is below lambda here; the flattening bound is tight
+        lower, upper = interval(example_4_2().tensor)
+        assert lower < upper
+        assert abs(upper - math.sqrt(1 / 3)) <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_interval_brackets_solver(self, order):
+        rng = np.random.default_rng(20 + order)
+        cfg = SolverConfig(algorithm="gauss_seidel", tol=1e-10, starts=5, seed=0)
+        for _ in range(3):
+            dims = tuple(int(d) for d in rng.integers(2, 5, size=order))
+            T = random_tensor(rng, dims)
+            lam = multi_start(T, cfg).best.eigenvalue
+            lower, upper = interval(T)
+            assert lower - 1e-9 <= lam <= upper + 1e-9
