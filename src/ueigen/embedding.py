@@ -11,20 +11,13 @@ to eigenpairs of A with one vector per mode.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .tensor import (
-    BlockPartition,
-    ComplexTensor,
-    RankOneFactors,
-    tensor_from_json,
-    tensor_to_json,
-)
+from .tensor import ComplexTensor, RankOneFactors, tensor_to_json
 
 __all__ = [
     "EmbeddedTensor",
@@ -34,21 +27,16 @@ __all__ = [
     "lift_eigenpair",
     "shift_to_embedded",
     "embedded_to_json",
-    "embedded_from_json",
 ]
 
 
 @dataclass(frozen=True)
 class EmbeddedTensor:
-    """The symmetric embedding of a source tensor, with its block partition."""
+    """The symmetric embedding of a source tensor; ``source_dims`` are the
+    block lengths of every mode."""
 
     tensor: ComplexTensor
-    partition: BlockPartition
     source_dims: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.tensor.dims[0]
 
 
 @dataclass(frozen=True)
@@ -81,11 +69,7 @@ def sym_embed(A: ComplexTensor) -> EmbeddedTensor:
     for perm in itertools.permutations(range(m)):
         slices = tuple(slice(offsets[q], offsets[q] + dims[q]) for q in perm)
         data[slices] = np.transpose(A.data, axes=perm)
-    return EmbeddedTensor(
-        tensor=ComplexTensor(data),
-        partition=BlockPartition.uniform(dims, m),
-        source_dims=dims,
-    )
+    return EmbeddedTensor(tensor=ComplexTensor(data), source_dims=dims)
 
 
 def is_symmetric(S: ComplexTensor, tol: float = 1e-12) -> bool:
@@ -160,18 +144,3 @@ def embedded_to_json(emb: EmbeddedTensor) -> dict:
     obj = tensor_to_json(emb.tensor)
     obj["source_dims"] = [int(d) for d in emb.source_dims]
     return obj
-
-
-def embedded_from_json(obj: dict | str) -> EmbeddedTensor:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if "source_dims" not in obj:
-        raise ValueError("embedded tensor JSON requires a 'source_dims' field")
-    source_dims = tuple(int(d) for d in obj["source_dims"])
-    tensor = tensor_from_json({k: v for k, v in obj.items() if k != "source_dims"})
-    m = tensor.order
-    return EmbeddedTensor(
-        tensor=tensor,
-        partition=BlockPartition.uniform(source_dims, m),
-        source_dims=source_dims,
-    )

@@ -1,9 +1,9 @@
 """Dense complex tensors and the multilinear primitives built on them.
 
 Storage is a C-ordered (last index fastest) ``numpy`` array of complex128.
-Mode labels, permutations, entry multi-indices and block multi-indices are
-1-based everywhere in the public API, matching the standard tensor-analysis
-notation; the underlying array is indexed 0-based as usual for numpy.
+Mode labels and entry multi-indices are 1-based everywhere in the public API,
+matching the standard tensor-analysis notation; the underlying array is
+indexed 0-based as usual for numpy.
 """
 
 from __future__ import annotations
@@ -19,19 +19,13 @@ import numpy as np
 __all__ = [
     "ComplexTensor",
     "RankOneFactors",
-    "Permutation",
-    "BlockPartition",
     "from_sparse",
     "from_array",
     "zeros",
     "norm",
-    "inner",
     "rank_one",
     "overlap",
     "contract_excluding",
-    "contract_excluding_conj",
-    "transpose_p",
-    "block",
     "tensor_to_json",
     "tensor_from_json",
 ]
@@ -82,19 +76,11 @@ class ComplexTensor:
 
 @dataclass(frozen=True)
 class RankOneFactors:
-    """Tuple of per-mode complex vectors defining a rank-one tensor.
-
-    ``normalization`` records the convention the vectors are held in:
-    ``"per_vector"`` (each vector has unit norm), ``"joint"`` (the squared
-    norms sum to one) or ``None`` (no claim).
-    """
+    """Tuple of per-mode complex vectors defining a rank-one tensor."""
 
     vectors: tuple[np.ndarray, ...]
-    normalization: str | None = None
 
     def __post_init__(self):
-        if self.normalization not in (None, "per_vector", "joint"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         vecs = []
         for v in self.vectors:
             arr = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -116,7 +102,7 @@ class RankOneFactors:
             if nrm == 0:
                 raise ValueError("cannot normalize a zero factor vector")
             vecs.append(arr / nrm)
-        return cls(tuple(vecs), normalization="per_vector")
+        return cls(tuple(vecs))
 
     @classmethod
     def joint(cls, vectors: Iterable[np.ndarray]) -> "RankOneFactors":
@@ -125,115 +111,13 @@ class RankOneFactors:
         total = np.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
         if total == 0:
             raise ValueError("cannot normalize all-zero factors")
-        return cls(tuple(v / total for v in vecs), normalization="joint")
+        return cls(tuple(v / total for v in vecs))
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def norms(self) -> tuple[float, ...]:
         return tuple(float(np.linalg.norm(v)) for v in self.vectors)
-
-    def check_normalization(self, tol: float = 1e-10) -> bool:
-        """True when the declared normalization holds within ``tol``."""
-        if self.normalization == "per_vector":
-            return all(abs(n - 1.0) <= tol for n in self.norms())
-        if self.normalization == "joint":
-            total = sum(n * n for n in self.norms())
-            return abs(total - 1.0) <= tol
-        return True
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A rearrangement of the mode labels 1..m."""
-
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        p = tuple(int(x) for x in self.map)
-        if sorted(p) != list(range(1, len(p) + 1)):
-            raise ValueError(f"{p} is not a permutation of 1..{len(p)}")
-        object.__setattr__(self, "map", p)
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(1, m + 1)))
-
-    def __len__(self) -> int:
-        return len(self.map)
-
-    @property
-    def zero_based(self) -> tuple[int, ...]:
-        return tuple(x - 1 for x in self.map)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.map)
-        for pos, val in enumerate(self.map, start=1):
-            inv[val - 1] = pos
-        return Permutation(tuple(inv))
-
-    def apply_to_index(self, idx: Sequence[int]) -> tuple[int, ...]:
-        """Map a multi-index j to (j_{p1}, ..., j_{pm})."""
-        if len(idx) != len(self.map):
-            raise ValueError("index length does not match permutation size")
-        return tuple(idx[q] for q in self.zero_based)
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Per-mode partition of index ranges into consecutive blocks.
-
-    ``lengths[k]`` lists the block lengths of mode k+1; offsets are the
-    running sums, so block i of mode k covers rows
-    offsets[k][i-1]+1 .. offsets[k][i-1]+lengths[k][i-1] in 1-based terms.
-    """
-
-    lengths: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        out = []
-        for mode_lengths in self.lengths:
-            lens = tuple(int(x) for x in mode_lengths)
-            if not lens or any(x < 1 for x in lens):
-                raise ValueError("block lengths must be positive")
-            out.append(lens)
-        if not out:
-            raise ValueError("partition needs at least one mode")
-        object.__setattr__(self, "lengths", tuple(out))
-
-    @classmethod
-    def trivial(cls, dims: Sequence[int]) -> "BlockPartition":
-        """One full-size block per mode."""
-        return cls(tuple((int(d),) for d in dims))
-
-    @classmethod
-    def uniform(cls, dims: Sequence[int], order: int) -> "BlockPartition":
-        """Each of ``order`` modes partitioned into blocks of sizes ``dims``."""
-        return cls((tuple(int(d) for d in dims),) * order)
-
-    @property
-    def order(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def block_counts(self) -> tuple[int, ...]:
-        return tuple(len(lens) for lens in self.lengths)
-
-    @property
-    def mode_sizes(self) -> tuple[int, ...]:
-        return tuple(sum(lens) for lens in self.lengths)
-
-    def offsets(self, mode: int) -> tuple[int, ...]:
-        """Cumulative offsets of mode ``mode`` (1-based); first entry is 0."""
-        lens = self.lengths[mode - 1]
-        out = [0]
-        for x in lens[:-1]:
-            out.append(out[-1] + x)
-        return tuple(out)
-
-    def permuted(self, p: "Permutation") -> "BlockPartition":
-        """Partition of the p-transposed tensor: mode a inherits mode p_a."""
-        return BlockPartition(tuple(self.lengths[q] for q in p.zero_based))
 
 
 def _as_vectors(factors) -> tuple[np.ndarray | None, ...]:
@@ -323,13 +207,6 @@ def norm(T: ComplexTensor) -> float:
     return float(np.linalg.norm(T.data.ravel()))
 
 
-def inner(X: ComplexTensor, Y: ComplexTensor) -> complex:
-    """Inner product sum conj(X) * Y over all entries (conjugate-linear in X)."""
-    if X.dims != Y.dims:
-        raise ValueError(f"dimension mismatch: {X.dims} vs {Y.dims}")
-    return complex(np.vdot(X.data, Y.data))
-
-
 def rank_one(factors) -> ComplexTensor:
     """Outer product tensor with entries x1_{i1} * ... * xm_{im}."""
     vecs = _as_vectors(factors)
@@ -361,45 +238,6 @@ def contract_excluding(T: ComplexTensor, factors, k: int) -> np.ndarray:
     return _contract_excluding(np.conj(T.data), vecs, k - 1)
 
 
-def contract_excluding_conj(T: ComplexTensor, factors, k: int) -> np.ndarray:
-    """Componentwise conjugate of :func:`contract_excluding`."""
-    return np.conj(contract_excluding(T, factors, k))
-
-
-def transpose_p(T: ComplexTensor, p) -> ComplexTensor:
-    """Relabel modes by permutation p: output entry at p(j) is T at j.
-
-    With p(j) = (j_{p1}, ..., j_{pm}), the output mode sizes are
-    (n_{p1}, ..., n_{pm}).
-    """
-    if not isinstance(p, Permutation):
-        p = Permutation(tuple(p))
-    if len(p) != T.order:
-        raise ValueError(f"permutation of length {len(p)} on order-{T.order} tensor")
-    return ComplexTensor(np.transpose(T.data, axes=p.zero_based).copy())
-
-
-def block(T: ComplexTensor, part: BlockPartition, i: Sequence[int]) -> ComplexTensor:
-    """Extract the subtensor at 1-based block multi-index ``i``."""
-    if part.order != T.order:
-        raise ValueError("partition order does not match tensor order")
-    if part.mode_sizes != T.dims:
-        raise ValueError(
-            f"partition sizes {part.mode_sizes} do not match dims {T.dims}"
-        )
-    i = tuple(int(x) for x in i)
-    if len(i) != T.order:
-        raise ValueError("block index has wrong length")
-    slices = []
-    for mode, bi in enumerate(i, start=1):
-        count = part.block_counts[mode - 1]
-        if not 1 <= bi <= count:
-            raise ValueError(f"block index {bi} out of range 1..{count} in mode {mode}")
-        off = part.offsets(mode)[bi - 1]
-        slices.append(slice(off, off + part.lengths[mode - 1][bi - 1]))
-    return ComplexTensor(T.data[tuple(slices)].copy())
-
-
 def tensor_to_json(T: ComplexTensor) -> dict:
     """JSON-ready dict {dims, entries} with 1-based indices; zeros omitted."""
     entries = []
@@ -415,14 +253,32 @@ def tensor_to_json(T: ComplexTensor) -> dict:
     return {"dims": [int(d) for d in T.dims], "entries": entries}
 
 
+_ENTRY_FORM = '{"idx": [...], "re": x, "im": y}'
+
+
+def _entry_from_json(pos: int, e) -> tuple[tuple[int, ...], complex]:
+    """One (index, value) pair of a JSON entry, or a ValueError naming it."""
+    if isinstance(e, dict):
+        idx, parts = e.get("idx"), (e.get("re", 0.0), e.get("im", 0.0))
+        if (
+            isinstance(idx, list)
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in idx)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts)
+        ):
+            return tuple(idx), complex(*parts)
+    raise ValueError(f"entries[{pos}] must be {_ENTRY_FORM}, got {json.dumps(e)[:60]}")
+
+
 def tensor_from_json(obj: dict | str) -> ComplexTensor:
     """Inverse of :func:`tensor_to_json`; accepts a dict or a JSON string."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ValueError("tensor JSON must be an object with a 'dims' field")
-    entries = [
-        (tuple(e["idx"]), complex(e.get("re", 0.0), e.get("im", 0.0)))
-        for e in obj.get("entries", [])
-    ]
-    return from_sparse(obj["dims"], entries)
+    entries = obj.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"'entries' must be a list of {_ENTRY_FORM} objects")
+    return from_sparse(
+        obj["dims"], [_entry_from_json(pos, e) for pos, e in enumerate(entries)]
+    )
+

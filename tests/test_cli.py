@@ -54,6 +54,13 @@ class TestSolve:
         assert code == 2
         assert "line" in err
 
+    def test_malformed_entry_named(self, capsys, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"dims": [2], "entries": [0.6, 0.8]}))
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert 'entries[0] must be {"idx": [...], "re": x, "im": y}, got 0.6' in err
+
     def test_unknown_catalog_id_lists_valid(self, capsys):
         code, _, err = run(capsys, "solve", "--catalog", "nope")
         assert code == 2

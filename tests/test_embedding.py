@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from ueigen import (
-    BlockPartition,
-    ComplexTensor,
-    Permutation,
-    block,
     contract_excluding,
-    embedded_from_json,
     embedded_to_json,
     from_array,
     from_sparse,
@@ -20,7 +15,7 @@ from ueigen import (
     overlap,
     shift_to_embedded,
     sym_embed,
-    transpose_p,
+    tensor_from_json,
 )
 from conftest import random_dims, random_tensor
 
@@ -30,32 +25,37 @@ def split_blocks(x, dims):
     return [x[offs[i] : offs[i + 1]] for i in range(len(dims))]
 
 
+def embedded_block(S, dims, i):
+    """Block of S at the 0-based block multi-index i, blocks cut at cumsum(dims)."""
+    offs = np.concatenate(([0], np.cumsum(dims)))
+    return S.data[tuple(slice(offs[b], offs[b + 1]) for b in i)]
+
+
 class TestSymEmbed:
     def test_shape_and_partition(self):
         rng = np.random.default_rng(0)
         A = random_tensor(rng, (3, 4, 5))
         emb = sym_embed(A)
         assert emb.tensor.dims == (12, 12, 12)
-        assert emb.partition.lengths == ((3, 4, 5),) * 3
         assert emb.source_dims == (3, 4, 5)
 
     def test_permutation_blocks_hold_transpositions(self):
         rng = np.random.default_rng(1)
         A = random_tensor(rng, (3, 4, 5))
         emb = sym_embed(A)
-        for perm in itertools.permutations((1, 2, 3)):
-            sub = block(emb.tensor, emb.partition, perm)
-            assert sub == transpose_p(A, perm)
+        for perm in itertools.permutations(range(3)):
+            sub = embedded_block(emb.tensor, A.dims, perm)
+            np.testing.assert_array_equal(sub, np.transpose(A.data, perm))
         # identity block recovers A itself
-        assert block(emb.tensor, emb.partition, (1, 2, 3)) == A
+        np.testing.assert_array_equal(embedded_block(emb.tensor, A.dims, (0, 1, 2)), A.data)
 
     def test_non_permutation_blocks_zero(self):
         rng = np.random.default_rng(2)
         A = random_tensor(rng, (2, 3, 2))
         emb = sym_embed(A)
-        for i in itertools.product((1, 2, 3), repeat=3):
-            if sorted(i) != [1, 2, 3]:
-                assert norm(block(emb.tensor, emb.partition, i)) == 0.0
+        for i in itertools.product(range(3), repeat=3):
+            if sorted(i) != [0, 1, 2]:
+                assert not np.any(embedded_block(emb.tensor, A.dims, i))
 
     def test_norm_scaling(self, ex41):
         emb = sym_embed(ex41.tensor)
@@ -124,7 +124,7 @@ class TestLiftEigenpair:
         blocks = [b / (math.sqrt(3) * np.linalg.norm(b)) for b in blocks]
         x = np.concatenate(blocks)
         lifted = lift_eigenpair(2.0, x, dims)
-        assert lifted.factors.check_normalization(1e-12)
+        assert lifted.factors.norms() == pytest.approx((1.0,) * 3, abs=1e-12)
         for factor, blk in zip(lifted.factors.vectors, blocks):
             np.testing.assert_allclose(factor, math.sqrt(3) * blk, atol=1e-12)
         assert lifted.block_norms == pytest.approx((1 / math.sqrt(3),) * 3, abs=1e-12)
@@ -194,11 +194,5 @@ class TestEmbeddedJson:
         emb = sym_embed(A)
         obj = embedded_to_json(emb)
         assert obj["source_dims"] == [2, 3]
-        back = embedded_from_json(obj)
-        assert back.tensor == emb.tensor
-        assert back.source_dims == emb.source_dims
-        assert back.partition == emb.partition
-
-    def test_missing_source_dims(self):
-        with pytest.raises(ValueError, match="source_dims"):
-            embedded_from_json({"dims": [2, 2], "entries": []})
+        back = tensor_from_json({k: v for k, v in obj.items() if k != "source_dims"})
+        assert back == emb.tensor

@@ -1,5 +1,3 @@
-import dataclasses
-import json
 import math
 
 import numpy as np
@@ -10,13 +8,12 @@ from ueigen import (
     PureState,
     RankOneFactors,
     SolverConfig,
-    analyze,
     from_sparse,
     gme_from_lambda,
+    multi_start,
     norm,
     overlap,
     rank_one,
-    verify_closest,
 )
 
 
@@ -67,59 +64,33 @@ class TestPureState:
 class TestAnalyze:
     def test_fixture_report(self, ex41):
         cfg = SolverConfig(algorithm="gauss_seidel", tol=1e-9, starts=10, seed=0)
-        report = analyze(ex41, cfg)
-        assert report.entanglement_eigenvalue == pytest.approx(0.8165, abs=5e-4)
-        assert report.gme == pytest.approx(0.6058, abs=5e-4)
-        ov = overlap(ex41.tensor, report.closest_product_state)
-        assert abs(ov) == pytest.approx(0.8165, abs=5e-4)
-        assert report.gme == pytest.approx(
-            math.sqrt(2 - 2 * report.entanglement_eigenvalue), abs=1e-12
-        )
-        stats = report.stats["gauss_seidel"]
-        assert stats.converged and stats.iterations > 0 and stats.seconds >= 0
+        best = multi_start(ex41.tensor, cfg).best
+        gme = gme_from_lambda(best.eigenvalue)
+        assert best.eigenvalue == pytest.approx(0.8165, abs=5e-4)
+        assert gme == pytest.approx(0.6058, abs=5e-4)
+        assert abs(overlap(ex41.tensor, best.factors)) == pytest.approx(0.8165, abs=5e-4)
+        assert gme == pytest.approx(math.sqrt(2 - 2 * best.eigenvalue), abs=1e-12)
+        assert best.converged and best.iterations > 0
 
     def test_product_state_has_zero_gme(self):
         state = PureState(from_sparse((2, 2, 2), {(1, 1, 1): 1.0}))
         cfg = SolverConfig(algorithm="gauss_seidel", starts=5, seed=0)
-        report = analyze(state, cfg)
-        assert report.entanglement_eigenvalue == pytest.approx(1.0, abs=1e-9)
-        assert report.gme == pytest.approx(0.0, abs=1e-4)
+        best = multi_start(state.tensor, cfg).best
+        assert best.eigenvalue == pytest.approx(1.0, abs=1e-9)
+        assert gme_from_lambda(best.eigenvalue) == pytest.approx(0.0, abs=1e-4)
 
     def test_consistency_with_verify_closest(self, ex41):
+        # ||T - x1 x ... x xm|| = sqrt(2 - 2 lambda) at the best unit factors
         cfg = SolverConfig(algorithm="gauss_seidel", starts=10, seed=0)
-        report = analyze(ex41, cfg)
-        distance = verify_closest(ex41, report.closest_product_state)
-        assert distance == pytest.approx(report.gme, abs=1e-6)
-
-    def test_report_json_shape(self, ex41):
-        cfg = SolverConfig(algorithm="gauss_seidel", starts=3, seed=0)
-        report = analyze(ex41, cfg)
-        payload = report.to_json()
-        text = json.dumps(payload)
-        assert "entanglement_eigenvalue" in payload
-        assert payload["stats"]["gauss_seidel"]["iterations"] > 0
-        assert len(payload["closest_product_state"]) == 3
-        assert json.loads(text) == payload
-
-    def test_report_table_lines(self, ex41):
-        cfg = SolverConfig(algorithm="gauss_seidel", starts=3, seed=0)
-        report = analyze(ex41, cfg)
-        table = report.format_table()
-        assert "gauss_seidel" in table
-        assert "0.8165" in table
-
-    def test_report_table_rejects_lambda_above_one(self, ex41):
-        cfg = SolverConfig(algorithm="gauss_seidel", starts=1, seed=0)
-        report = analyze(ex41, cfg)
-        stats = report.stats["gauss_seidel"]
-        report.stats["gauss_seidel"] = dataclasses.replace(stats, eigenvalue=1.5)
-        with pytest.raises(ValueError, match="exceeds 1"):
-            report.format_table()
+        best = multi_start(ex41.tensor, cfg).best
+        distance = norm(ComplexTensor(ex41.tensor.data - rank_one(best.factors).data))
+        assert distance == pytest.approx(gme_from_lambda(best.eigenvalue), abs=1e-6)
 
 
 class TestVerifyClosest:
     def test_best_factors_distance_is_gme(self, ex41, ex41_solved):
-        distance = verify_closest(ex41, ex41_solved.best.factors)
+        factors = ex41_solved.best.factors
+        distance = norm(ComplexTensor(ex41.tensor.data - rank_one(factors).data))
         assert distance == pytest.approx(0.6058, abs=5e-4)
 
     def test_rank_one_state_zero_distance(self):
@@ -130,14 +101,16 @@ class TestVerifyClosest:
             vecs.append(z / np.linalg.norm(z))
         factors = RankOneFactors.per_vector(vecs)
         state = PureState(rank_one(factors))
-        assert verify_closest(state, factors) == pytest.approx(0.0, abs=1e-12)
+        distance = norm(ComplexTensor(state.tensor.data - rank_one(factors).data))
+        assert distance == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_product_state(self):
         state = PureState(from_sparse((2, 2), {(1, 1): 1.0}))
         factors = RankOneFactors.per_vector(
             [np.array([0, 1], dtype=complex), np.array([0, 1], dtype=complex)]
         )
-        assert verify_closest(state, factors) == pytest.approx(math.sqrt(2), abs=1e-12)
+        distance = norm(ComplexTensor(state.tensor.data - rank_one(factors).data))
+        assert distance == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 class TestPhaseGauge:

@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 
 from ueigen import (
-    BlockPartition,
-    ComplexTensor,
-    Permutation,
     RankOneFactors,
-    block,
     contract_excluding,
-    contract_excluding_conj,
     from_array,
     from_sparse,
-    inner,
     norm,
     overlap,
     rank_one,
     tensor_from_json,
     tensor_to_json,
-    transpose_p,
     zeros,
 )
 from conftest import random_dims, random_tensor
@@ -86,33 +79,20 @@ class TestNorm:
 
 
 class TestInner:
+    # overlap(T, f) is the inner product <T, x1 x ... x xm>, conjugate-linear in T
+
     def test_self_inner_is_squared_norm(self):
         rng = np.random.default_rng(0)
-        T = random_tensor(rng, (3, 4))
-        val = inner(T, T)
+        f = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (3, 4)]
+        val = overlap(rank_one(f), f)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real == pytest.approx(norm(T) ** 2, rel=1e-12)
+        assert val.real == pytest.approx(norm(rank_one(f)) ** 2, rel=1e-12)
 
     def test_orthogonal_basis_tensors(self):
-        X = rank_one((E1, E1))
-        Y = rank_one((E1, E2))
-        assert inner(X, Y) == 0
+        assert overlap(rank_one((E1, E1)), (E1, E2)) == 0
 
     def test_conjugation_on_first_argument(self):
-        X = from_array(1j * E1)
-        Y = from_array(E1)
-        assert inner(X, Y) == pytest.approx(-1j)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            dims = random_dims(rng)
-            X, Y = random_tensor(rng, dims), random_tensor(rng, dims)
-            assert inner(X, Y) == pytest.approx(np.conj(inner(Y, X)), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner(zeros((2, 2)), zeros((2, 3)))
+        assert overlap(from_array(1j * E1), (E1,)) == pytest.approx(-1j)
 
 
 class TestRankOne:
@@ -204,102 +184,12 @@ class TestContractExcluding:
         with pytest.raises(ValueError, match="out of range"):
             contract_excluding(ex41.tensor, (E1, E1, E1), 4)
 
-
-class TestContractExcludingConj:
-    def test_conjugate_of_plain_version(self, ex41):
-        rng = np.random.default_rng(7)
-        f = unit_factors(rng, (2, 2, 2))
-        for k in (1, 2, 3):
-            np.testing.assert_allclose(
-                contract_excluding_conj(ex41.tensor, f, k),
-                np.conj(contract_excluding(ex41.tensor, f, k)),
-                atol=1e-15,
-            )
-
     def test_hand_evaluated_entry(self):
-        # single entry i at (1,1); plain contraction gives (-i, 0)
+        # single entry i at (1,1); the contraction conjugates T: (-i, 0)
         T = from_sparse((2, 2), {(1, 1): 1j})
         np.testing.assert_allclose(
             contract_excluding(T, (None, E1), 1), np.array([-1j, 0]), atol=1e-15
         )
-        np.testing.assert_allclose(
-            contract_excluding_conj(T, (None, E1), 1), np.array([1j, 0]), atol=1e-15
-        )
-
-    def test_real_case_identical(self):
-        rng = np.random.default_rng(8)
-        T = ComplexTensor(rng.standard_normal((3, 2)).astype(complex))
-        f = [np.abs(v) for v in unit_factors(rng, (3, 2))]
-        np.testing.assert_allclose(
-            contract_excluding_conj(T, f, 2),
-            contract_excluding(T, f, 2),
-            atol=1e-15,
-        )
-
-
-class TestTransposeP:
-    def test_identity(self, ex41):
-        T = ex41.tensor
-        assert transpose_p(T, Permutation.identity(3)) == T
-
-    def test_matrix_transpose_without_conjugation(self):
-        T = from_sparse((2, 3), {(1, 2): 1j, (2, 3): 2.0})
-        S = transpose_p(T, (2, 1))
-        assert S.dims == (3, 2)
-        np.testing.assert_array_equal(S.data, T.data.T)
-
-    def test_fixture_defining_relation(self, ex41):
-        # entry at p(j) of the output equals the input at j
-        S = transpose_p(ex41.tensor, (2, 3, 1))
-        assert S.data[0, 1, 0] == pytest.approx(math.sqrt(1 / 3))
-
-    def test_double_transpose_roundtrip(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            dims = random_dims(rng)
-            T = random_tensor(rng, dims)
-            perm = Permutation(tuple(rng.permutation(len(dims)) + 1))
-            assert transpose_p(transpose_p(T, perm), perm.inverse()) == T
-
-    def test_invalid_permutation(self, ex41):
-        with pytest.raises(ValueError):
-            transpose_p(ex41.tensor, (1, 1, 2))
-        with pytest.raises(ValueError):
-            transpose_p(ex41.tensor, (1, 2))
-
-
-class TestBlock:
-    def test_trivial_partition(self, ex41):
-        part = BlockPartition.trivial((2, 2, 2))
-        assert block(ex41.tensor, part, (1, 1, 1)) == ex41.tensor
-
-    def test_lower_left_submatrix(self):
-        data = np.arange(16, dtype=complex).reshape(4, 4)
-        T = ComplexTensor(data)
-        part = BlockPartition(((2, 2), (2, 2)))
-        sub = block(T, part, (2, 1))
-        np.testing.assert_array_equal(sub.data, data[2:4, 0:2])
-
-    def test_block_index_out_of_range(self):
-        T = zeros((4, 4))
-        part = BlockPartition(((2, 2), (2, 2)))
-        with pytest.raises(ValueError, match="out of range"):
-            block(T, part, (3, 1))
-
-    def test_partition_mismatch(self):
-        with pytest.raises(ValueError):
-            block(zeros((4, 4)), BlockPartition(((2, 2), (3, 2))), (1, 1))
-
-    def test_block_transposition_commutation(self):
-        # blocks of the relabeled tensor are relabeled blocks
-        rng = np.random.default_rng(10)
-        T = random_tensor(rng, (4, 6, 2))
-        part = BlockPartition(((2, 2), (3, 2, 1), (2,)))
-        perm = Permutation((3, 1, 2))
-        for i in [(1, 1, 1), (2, 3, 1), (1, 2, 1)]:
-            left = block(transpose_p(T, perm), part.permuted(perm), perm.apply_to_index(i))
-            right = transpose_p(block(T, part, i), perm)
-            assert left == right
 
 
 class TestJsonRoundTrip:
@@ -332,40 +222,35 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             tensor_from_json({"entries": []})
 
+    @pytest.mark.parametrize(
+        "entries, where",
+        [
+            ([0.6, 0.8], "entries[0]"),
+            ([{"idx": [1], "re": 0.6}, {"re": 0.8}], "entries[1]"),
+            ({"idx": [1], "re": 1.0}, "'entries' must be a list"),
+        ],
+        ids=["bare_numbers", "missing_idx", "entries_object"],
+    )
+    def test_malformed_entries_named(self, entries, where):
+        with pytest.raises(ValueError) as info:
+            tensor_from_json({"dims": [2], "entries": entries})
+        assert where in str(info.value)
+        assert '{"idx": [...], "re": x, "im": y}' in str(info.value)
+
 
 class TestRankOneFactors:
     def test_per_vector_normalization(self):
         rng = np.random.default_rng(12)
         raw = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]
         f = RankOneFactors.per_vector(raw)
-        assert f.check_normalization(1e-12)
         assert all(abs(n - 1) < 1e-12 for n in f.norms())
 
     def test_joint_normalization(self):
         rng = np.random.default_rng(13)
         raw = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 4)]
         f = RankOneFactors.joint(raw)
-        assert f.normalization == "joint"
         assert sum(n * n for n in f.norms()) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             RankOneFactors.per_vector([np.zeros(2, dtype=complex)])
-
-    def test_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            RankOneFactors((np.ones(2, dtype=complex),), normalization="weird")
-
-
-class TestPermutation:
-    def test_inverse(self):
-        p = Permutation((2, 3, 1))
-        assert p.inverse().map == (3, 1, 2)
-
-    def test_apply_to_index(self):
-        p = Permutation((2, 3, 1))
-        assert p.apply_to_index((7, 8, 9)) == (8, 9, 7)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 3))
