@@ -14,13 +14,7 @@ from . import catalog
 from .embedding import embedded_to_json, sym_embed
 from .entanglement import RENORM_TOLERANCE, PureState, gme_from_lambda
 from .oracle import evaluate_oracles
-from .solvers import (
-    ALGORITHMS,
-    MultiStartResult,
-    SolverConfig,
-    SolverError,
-    multi_start,
-)
+from .solvers import MultiStartResult, SolverConfig, SolverError, multi_start
 from .tensor import ComplexTensor, norm, tensor_from_json, tensor_to_json
 
 EXIT_OK = 0

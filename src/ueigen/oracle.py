@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _AXIS_LETTERS, ComplexTensor, _contract_excluding
+from .tensor import ComplexTensor, _contract_excluding
 
 __all__ = [
     "OracleResult",
@@ -21,6 +21,9 @@ __all__ = [
     "sampling_oracle",
     "evaluate_oracles",
 ]
+
+# einsum's sublist form accepts this many distinct labels.
+_EINSUM_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,12 @@ def sampling_oracle(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m = A.order
+    if m >= _EINSUM_LABELS:
+        raise ValueError(
+            f"sampling oracle supports order <= {_EINSUM_LABELS - 1}: einsum has "
+            f"{_EINSUM_LABELS} labels, one of them the sample axis"
+        )
     conj_data = np.conj(A.data)
-    if m >= len(_AXIS_LETTERS):
-        raise ValueError(f"sampling oracle supports order < {len(_AXIS_LETTERS)}")
-    letters, z = _AXIS_LETTERS[:m], _AXIS_LETTERS[m]
-    subscript = letters + "," + ",".join(z + ch for ch in letters) + "->" + z
     children = np.random.SeedSequence(seed).spawn(
         (samples + batch - 1) // batch
     )
@@ -96,11 +100,11 @@ def sampling_oracle(
         count = min(batch, remaining)
         remaining -= count
         mats = []
-        for d in A.dims:
+        for i, d in enumerate(A.dims):
             z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
-            mats.append(z)
-        values = np.einsum(subscript, conj_data, *mats)
+            mats += [z, [m, i]]
+        values = np.einsum(conj_data, range(m), *mats, [m])
         best = max(best, float(np.max(np.abs(values))))
     return best
 

@@ -27,7 +27,10 @@ embed and joint) since the previous iteration. The displacement condition
 is needed because the eigenvalue estimate is stationary in the iterates:
 its increments fall below tol while the eigenvector error is still near
 sqrt(tol), which would leave residuals orders of magnitude above the
-eigenvalue accuracy.
+eigenvalue accuracy. Both halves can still pass far from an eigenpair when
+the iterate barely moves (joint's lam scales like sqrt(m)^-m), so a stop
+whose verified residual exceeds 100 tol max(1, lam) has status
+``"stalled"``.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ class IterationTrace:
     """Per-step eigenvalue history plus the termination status."""
 
     steps: list[IterationStep] = field(default_factory=list)
-    status: str = "max_iter_reached"  # or "converged"
+    status: str = "max_iter_reached"  # or "converged" or "stalled"
     iterates: list | None = None  # populated when record_iterates is set
 
     @property
@@ -253,16 +256,28 @@ def _iterate(
     return vecs, lam, trace
 
 
+def _verified(
+    A: ComplexTensor, lam: float, factors: RankOneFactors, trace: IterationTrace,
+    tol: float,
+) -> UEigenpair:
+    """The eigenpair with its residual. A converged trace whose residual
+    exceeds 100 tol max(1, lam) stopped without an eigenpair and is marked
+    "stalled". The residual scales with A, hence the factor max(1, lam)."""
+    res = _residual_vectors(A, lam, factors.vectors)
+    if trace.converged and res > 100 * tol * max(1.0, lam):
+        trace.status = "stalled"
+    return UEigenpair(lam, factors, res, trace)
+
+
 def _phase_corrected(
-    A: ComplexTensor, vecs, lam: complex, scale: float, trace: IterationTrace
+    A: ComplexTensor, vecs, lam: complex, scale: float, trace: IterationTrace,
+    tol: float,
 ) -> UEigenpair:
     """Eigenpair scale * |lam| with the factors rotated by a principal m-th
     root of |lam| / lam, rescaled to unit norm, and checked by residual."""
-    lambda_a = scale * abs(lam)
     phase = _principal_root(abs(lam) / lam, A.order)
     factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    res = _residual_vectors(A, lambda_a, factors.vectors)
-    return UEigenpair(lambda_a, factors, res, trace)
+    return _verified(A, scale * abs(lam), factors, trace, tol)
 
 
 def solve_embed(
@@ -316,8 +331,7 @@ def solve_embed(
         lifted = lift_eigenpair(lambda_s, x, A.dims, check_block_norms=trace.converged)
     except ValueError as exc:
         raise SolverError(str(exc)) from None
-    res = _residual_vectors(A, lifted.eigenvalue, lifted.factors.vectors)
-    return UEigenpair(lifted.eigenvalue, lifted.factors, res, trace)
+    return _verified(A, lifted.eigenvalue, lifted.factors, trace, cfg.tol)
 
 
 def solve_joint(
@@ -347,7 +361,7 @@ def solve_joint(
         vecs, cfg.alpha, cfg.tol, cfg.tol / m, cfg.max_iter, record_iterates,
         gauss_seidel=False,
     )
-    return _phase_corrected(A, vecs, lam, math.sqrt(m) ** m, trace)
+    return _phase_corrected(A, vecs, lam, math.sqrt(m) ** m, trace, cfg.tol)
 
 
 def solve_gauss_seidel(
@@ -370,7 +384,7 @@ def solve_gauss_seidel(
         vecs, cfg.alpha, cfg.tol, cfg.tol, cfg.max_iter, record_iterates,
         gauss_seidel=True,
     )
-    return _phase_corrected(A, vecs, lam, 1.0, trace)
+    return _phase_corrected(A, vecs, lam, 1.0, trace, cfg.tol)
 
 
 def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):

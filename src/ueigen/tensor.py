@@ -9,9 +9,8 @@ indexed 0-based as usual for numpy.
 from __future__ import annotations
 
 import json
-import string
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,9 +28,6 @@ __all__ = [
     "tensor_to_json",
     "tensor_from_json",
 ]
-
-_AXIS_LETTERS = string.ascii_lowercase
-
 
 @dataclass(frozen=True)
 class ComplexTensor:
@@ -142,27 +138,25 @@ def _check_factor_dims(T: ComplexTensor, vecs, skip: int | None = None):
             raise ValueError(f"factor {i} has length {v.shape[0]}, mode size is {d}")
 
 
-@lru_cache(maxsize=None)
-def _overlap_subscript(m: int) -> str:
-    letters = _AXIS_LETTERS[:m]
-    return letters + "," + ",".join(letters) + "->"
-
-@lru_cache(maxsize=None)
-def _exclude_subscript(m: int, k0: int) -> str:
-    letters = _AXIS_LETTERS[:m]
-    kept = "".join("," + letters[i] for i in range(m) if i != k0)
-    return f"{letters}{kept}->{letters[k0]}"
-
-
 def _contract_all(conj_data: np.ndarray, vecs: Sequence[np.ndarray]) -> complex:
     """sum conj(T) * x1 ... xm, on a pre-conjugated array."""
-    return complex(np.einsum(_overlap_subscript(conj_data.ndim), conj_data, *vecs))
+    return complex(vecs[0] @ _contract_excluding(conj_data, vecs, 0))
 
 
 def _contract_excluding(conj_data: np.ndarray, vecs, k0: int) -> np.ndarray:
-    """Mode-k0 vector of sums conj(T) * prod_{i != k0} xi (k0 zero-based)."""
-    ops = [vecs[i] for i in range(conj_data.ndim) if i != k0]
-    return np.einsum(_exclude_subscript(conj_data.ndim, k0), conj_data, *ops)
+    """Mode-k0 vector of sums conj(T) * prod_{i != k0} xi (k0 zero-based).
+
+    One matrix-vector product per mode: the trailing modes are contracted
+    from the last one inwards, then the leading modes from the first one, so
+    any order works and ``vecs[k0]`` is never read.
+    """
+    dims = conj_data.shape
+    t = conj_data
+    for i in range(len(dims) - 1, k0, -1):
+        t = t.reshape(-1, dims[i]) @ vecs[i]
+    for i in range(k0):
+        t = vecs[i] @ t.reshape(dims[i], -1)
+    return t
 
 
 def from_sparse(dims: Sequence[int], entries) -> ComplexTensor:

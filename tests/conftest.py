@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 
 from ueigen import SolverConfig, catalog, multi_start

@@ -211,6 +211,8 @@ def test_criterion_08_residual_suite():
     bound = 100 * tol
     worst = 0.0
     checked = 0
+    # Every run that passed the stop rule counts, stalled ones too: a stall
+    # above the bound is what this criterion exists to catch.
     # paper fixtures
     fixtures = [
         example_4_1().tensor,
@@ -222,7 +224,7 @@ def test_criterion_08_residual_suite():
         cfg = SolverConfig(algorithm="gauss_seidel", tol=tol, starts=5, seed=0)
         res = multi_start(tensor, cfg)
         for run in res.runs:
-            if run.ok and run.pair.converged:
+            if run.ok and run.pair.trace.status != "max_iter_reached":
                 worst = max(worst, run.pair.residual)
                 checked += 1
     # 50 random instances across algorithms
@@ -234,7 +236,7 @@ def test_criterion_08_residual_suite():
         cfg = SolverConfig(algorithm=algo, tol=tol, starts=2, seed=trial)
         result = multi_start(A, cfg)
         for run in result.runs:
-            if run.ok and run.pair.converged:
+            if run.ok and run.pair.trace.status != "max_iter_reached":
                 assert run.pair.residual == pytest.approx(
                     residual(A, run.pair), abs=1e-15
                 )
@@ -243,7 +245,7 @@ def test_criterion_08_residual_suite():
     ok = worst <= bound and checked > 50
     report(
         8,
-        "residuals of converged runs within 100*tol",
+        "residuals of runs that passed the stop rule within 100*tol",
         ok,
         f"{checked} runs, worst={worst:.2e}, bound={bound:.0e}",
     )

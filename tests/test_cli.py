@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ueigen import is_symmetric, tensor_from_json
+from ueigen import (
+    ComplexTensor,
+    catalog,
+    is_symmetric,
+    tensor_from_json,
+    tensor_to_json,
+)
 import ueigen.cli
 from ueigen.cli import main
 
@@ -106,6 +112,37 @@ class TestSolve:
         )
         assert code == 0
         assert json.loads(out)["lambda"] == pytest.approx(0.8165, abs=5e-4)
+
+
+    def test_stall_exits_three(self, capsys, tmp_path):
+        # Joint's lambda on eight qubits is tiny, so its first step passes
+        # the stop rule with a residual near 0.09: not an eigenpair.
+        path = tmp_path / "q8.json"
+        state = catalog.random_state((2,) * 8, 1)
+        path.write_text(json.dumps(tensor_to_json(state.tensor)))
+        code, out, _ = run(
+            capsys, "solve", "--file", str(path), "--algo", "joint",
+            "--starts", "2", "--format", "json",
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "stalled"
+        assert payload["residual"] > 100 * 1e-9
+
+
+    def test_scaled_state_converges(self, capsys, tmp_path):
+        # example_4_1 times 1e3: the residual scales with A, so a converged
+        # solve ends near 2.5e-7, above 100 * tol but not a stall.
+        path = tmp_path / "scaled.json"
+        scaled = ComplexTensor(1e3 * catalog.example_4_1().tensor.data)
+        path.write_text(json.dumps(tensor_to_json(scaled)))
+        code, out, _ = run(
+            capsys, "solve", "--file", str(path), "--starts", "3", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "converged"
+        assert payload["lambda"] == pytest.approx(1e3 * math.sqrt(2 / 3), rel=1e-12)
 
 
 class TestDeterminism:

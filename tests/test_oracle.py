@@ -95,9 +95,11 @@ class TestSamplingOracle:
         assert 0.0 < bound <= 1.0
 
     def test_order_beyond_labels_rejected(self):
-        # Order 26 fits the contraction labels but leaves none for samples.
-        A = ComplexTensor(np.ones((1,) * 26))
-        with pytest.raises(ValueError, match="order < 26"):
+        # einsum has 52 labels: order 51 leaves one for the sample axis.
+        bound = sampling_oracle(ComplexTensor(np.ones((1,) * 26)), samples=2)
+        assert bound == pytest.approx(1.0, abs=1e-12)
+        A = ComplexTensor(np.ones((1,) * 52))
+        with pytest.raises(ValueError, match="order <= 51: einsum has 52 labels"):
             sampling_oracle(A, samples=1)
 
     def test_invalid_samples(self):

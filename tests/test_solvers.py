@@ -198,6 +198,28 @@ class TestIterationInvariants:
         assert pair.trace.status == "max_iter_reached"
         assert pair.iterations == 3
 
+    def test_stop_without_eigenpair_is_stalled(self):
+        # Joint's lambda scales like sqrt(m)^-m: on eight qubits both halves
+        # of the stop rule pass after one step, far from an eigenpair.
+        A = catalog.random_state((2,) * 8, 1).tensor
+        cfg = SolverConfig(algorithm="joint", starts=2)
+        result = multi_start(A, cfg)
+        for run in result.runs:
+            assert run.pair.iterations == 1
+            assert run.pair.residual > 100 * cfg.tol
+            assert run.pair.trace.status == "stalled"
+        assert not result.best.converged
+
+    def test_scaled_converged_stop_is_not_stalled(self, ex41):
+        # The residual scales with A: example_4_1 times 1e3 converges with a
+        # residual above 100 * tol, within 100 * tol * lambda.
+        A = ComplexTensor(1e3 * ex41.tensor.data)
+        cfg = SolverConfig(algorithm="gauss_seidel", starts=3)
+        for run in multi_start(A, cfg).runs:
+            assert run.pair.trace.status == "converged"
+            assert 100 * cfg.tol < run.pair.residual
+            assert run.pair.residual <= 100 * cfg.tol * run.pair.eigenvalue
+
     def test_trace_records_step_errors(self, ex41_solved):
         trace = ex41_solved.best.trace
         assert trace.steps[0].step_error is None
@@ -283,6 +305,22 @@ class TestScaleCovariance:
                 c * pa.trace.steps[k].lam, abs=1e-10 * c
             )
         assert pb.eigenvalue == pytest.approx(c * pa.eigenvalue, rel=1e-10)
+
+
+class TestHighOrder:
+    def test_singleton_modes_past_26(self, ex41):
+        # Order 27: example_4_1 padded with 24 singleton modes. The padding
+        # draws its start entries after the real modes', so every start and
+        # iteration count matches the unpadded run.
+        padded = ComplexTensor(ex41.tensor.data.reshape((2, 2, 2) + (1,) * 24))
+        cfg = SolverConfig(algorithm="gauss_seidel", starts=3)
+        result = multi_start(padded, cfg)
+        plain = multi_start(ex41.tensor, cfg)
+        assert result.best.eigenvalue == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
+        assert result.best.converged
+        assert [r.pair.iterations for r in result.runs] == [
+            r.pair.iterations for r in plain.runs
+        ]
 
 
 class TestMultiStart:

@@ -192,6 +192,33 @@ class TestContractExcluding:
         )
 
 
+class TestHighOrder:
+    """Order 27: one more mode than einsum subscript strings have lowercase
+    letters."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(27)
+        self.small = random_tensor(rng, (2, 3, 2))
+        self.dims = (2,) + (1,) * 12 + (3,) + (1,) * 12 + (2,)
+        self.T = from_array(self.small.data.reshape(self.dims))
+        self.f = unit_factors(rng, self.dims)
+        self.f_small = [self.f[0], self.f[13], self.f[26]]
+        self.phase = np.prod([v[0] for i, v in enumerate(self.f) if i not in (0, 13, 26)])
+
+    def test_overlap(self):
+        assert overlap(self.T, self.f) == pytest.approx(
+            self.phase * overlap(self.small, self.f_small), abs=1e-12
+        )
+
+    def test_contract_excluding(self):
+        for k, k_small in ((1, 1), (14, 2), (27, 3)):
+            np.testing.assert_allclose(
+                contract_excluding(self.T, self.f, k),
+                self.phase * contract_excluding(self.small, self.f_small, k_small),
+                atol=1e-12,
+            )
+
+
 class TestJsonRoundTrip:
     def test_round_trip(self, ex41):
         obj = tensor_to_json(ex41.tensor)
