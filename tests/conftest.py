@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from ueigen import SolverConfig, catalog, multi_start
+from ueigen import SolverConfig, catalog, multi_start, overlap
 
 
 def random_tensor(rng, dims):
@@ -8,6 +9,27 @@ def random_tensor(rng, dims):
     from ueigen import ComplexTensor
 
     return ComplexTensor(data)
+
+
+def reference_sampling_bound(T, samples, seed, batch):
+    """``sampling_oracle`` rebuilt from its documented draws, one overlap each.
+
+    Each batch of ``batch`` samples has its own child of ``SeedSequence(seed)``
+    and draws, per mode, real then imaginary normals of shape (count, d),
+    normalized by row.
+    """
+    children = np.random.SeedSequence(seed).spawn(-(-samples // batch))
+    best = 0.0
+    for b, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        count = min(batch, samples - b * batch)
+        mats = []
+        for d in T.dims:
+            z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+            mats.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+        for s in range(count):
+            best = max(best, abs(overlap(T, [z[s] for z in mats])))
+    return best
 
 
 def random_dims(rng, max_order=4, max_dim=4, min_order=2):

@@ -1,4 +1,5 @@
-"""Property test of the contraction kernels against a dense reference.
+"""Property tests of the contraction kernels and the sampling oracle against
+per-entry and per-sample references.
 
 Needs hypothesis; without it this module is skipped and the rest of the
 suite runs unchanged.
@@ -10,8 +11,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ueigen import contract_excluding, norm, overlap, rank_one  # noqa: E402
-from conftest import random_tensor  # noqa: E402
+from ueigen import (  # noqa: E402
+    contract_excluding,
+    norm,
+    overlap,
+    rank_one,
+    sampling_oracle,
+)
+from conftest import random_tensor, reference_sampling_bound  # noqa: E402
 
 
 def _reference_overlap(T, f):
@@ -39,3 +46,17 @@ def test_kernels_match_dense_reference(dims, seed):
         for j, basis in enumerate(np.eye(d, dtype=complex)):
             ref = _reference_overlap(T, f[: k - 1] + [basis] + f[k:])
             assert abs(vec[j] - ref) <= tol
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    samples=st.integers(1, 300),
+    batch=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampling_oracle_matches_overlap_reference(dims, samples, batch, seed):
+    T = random_tensor(np.random.default_rng(seed), tuple(dims))
+    value = sampling_oracle(T, samples, seed=seed, batch=batch)
+    reference = reference_sampling_bound(T, samples, seed, batch)
+    assert abs(value - reference) <= 1e-12 * norm(T)

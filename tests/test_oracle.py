@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ueigen import (
 )
 from ueigen import catalog
 from ueigen.catalog import example_4_1, example_4_2, example_4_7
-from conftest import random_tensor
+from conftest import random_tensor, reference_sampling_bound
 
 
 def interval(T):
@@ -83,10 +84,12 @@ class TestSamplingOracle:
         assert a == b
 
     def test_batching_invariant(self):
-        T = example_4_2().tensor
-        a = sampling_oracle(T, samples=3000, seed=4, batch=512)
-        b = sampling_oracle(T, samples=3000, seed=4, batch=512)
-        assert a == b
+        # 40 * 40 = 1600 leading entries make chunks of 81 samples, so each
+        # batch of 512 (and the last one, of 440) spans several chunks.
+        T = catalog.random_state((40, 40, 3), seed=0).tensor
+        value = sampling_oracle(T, samples=3000, seed=4, batch=512)
+        reference = reference_sampling_bound(T, 3000, seed=4, batch=512)
+        assert abs(value - reference) <= 1e-12
 
     def test_order_thirteen(self):
         # More modes than the twelve letters the subscript once had.
@@ -95,12 +98,20 @@ class TestSamplingOracle:
         assert 0.0 < bound <= 1.0
 
     def test_order_beyond_labels_rejected(self):
-        # einsum has 52 labels: order 51 leaves one for the sample axis.
-        bound = sampling_oracle(ComplexTensor(np.ones((1,) * 26)), samples=2)
+        # Order 52 once exceeded einsum's 52 labels; the kernel has no limit.
+        bound = sampling_oracle(ComplexTensor(np.ones((1,) * 52)), samples=2)
         assert bound == pytest.approx(1.0, abs=1e-12)
-        A = ComplexTensor(np.ones((1,) * 52))
-        with pytest.raises(ValueError, match="order <= 51: einsum has 52 labels"):
-            sampling_oracle(A, samples=1)
+
+    def test_peak_memory_is_chunked(self):
+        # Unchunked, the first product of a batch of 2048 peaks at 22 MB here.
+        T = catalog.random_state((24, 24, 24), seed=0).tensor
+        tracemalloc.start()
+        try:
+            sampling_oracle(T, samples=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
