@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ComplexTensor, _contract_excluding
+from .tensor import _CHUNK_ENTRIES, ComplexTensor, _contract_excluding
 
 __all__ = [
     "OracleResult",
@@ -21,10 +21,6 @@ __all__ = [
     "sampling_oracle",
     "evaluate_oracles",
 ]
-
-# Complex entries per chunk of the sampling oracle's first product (2 MB).
-_CHUNK_ENTRIES = 1 << 17
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -56,12 +52,12 @@ def svd_oracle(
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(max_iter):
-        w = _contract_excluding(conj_data, (None, v), 0)  # conj(M) v
+        w = _contract_excluding(conj_data, (None, v[None]), 0)[0]  # conj(M) v
         new_sigma = float(np.linalg.norm(w))
         if new_sigma == 0.0:
             return 0.0
         # adjoint application: rows of conj(M) against w
-        u = np.conj(_contract_excluding(conj_data, (np.conj(w), None), 1))
+        u = np.conj(_contract_excluding(conj_data, (np.conj(w)[None], None), 1)[0])
         v = u / np.linalg.norm(u)
         if abs(new_sigma - sigma) < tol:
             return new_sigma
@@ -91,6 +87,8 @@ def sampling_oracle(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     *lead_dims, last = A.dims
     lead = math.prod(lead_dims)
     conj_t = np.conj(A.data).reshape(lead, last).T

@@ -20,6 +20,15 @@ With matched shifts (alpha_embedded = m!(m-1)! alpha) the embed and joint
 iterations produce identical iterates; the Gauss-Seidel sweep is distinct
 and typically converges in far fewer iterations.
 
+The loop runs a batch of K starts: each mode's iterate is a (K, n_i) array
+and lambda a length-K array, so one pass advances every live start, and a
+start leaves the batch when it converges, breaks down or reaches
+``max_iter``. Every batched step (the stacked contraction, the row dots and
+norms) makes, per row, the same BLAS call and arithmetic as a lone start,
+so each start's result is bitwise what it is alone, whatever K. A single-
+start solver is the batch of one; ``multi_start`` runs its starts in
+chunks that keep the first contraction near 2 MB.
+
 Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` (the ``check_stop``
 criterion) *and* every vector moved by less than ``tol`` (``tol / m`` for
@@ -35,6 +44,7 @@ whose verified residual exceeds 100 tol max(1, lam) has status
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,7 +53,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embedding import lift_eigenpair, shift_to_embedded
-from .tensor import ComplexTensor, RankOneFactors, _contract_all, _contract_excluding
+from .tensor import (
+    _CHUNK_ENTRIES,
+    ComplexTensor,
+    RankOneFactors,
+    _contract_excluding,
+    _dot_rows,
+)
 
 __all__ = [
     "SolverError",
@@ -179,11 +195,37 @@ def _vector_list(start, dims) -> list[np.ndarray]:
     return out
 
 
+def _start_vectors(A: ComplexTensor, algorithm: str, start) -> list[np.ndarray]:
+    """The vectors of ``start``, checked against the normalization that
+    ``algorithm`` iterates in (see ``random_start``)."""
+    if algorithm == "embed":
+        if A.order < 2:
+            raise ValueError("symmetric embedding needs an order >= 2 tensor")
+        x = np.asarray(start, dtype=np.complex128).reshape(-1).copy()
+        n = sum(A.dims)
+        if x.shape[0] != n:
+            raise ValueError(f"start has length {x.shape[0]}, embedding size is {n}")
+        if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+            raise ValueError("start vector must have unit norm")
+        return [x]
+    vecs = _vector_list(start, A.dims)
+    if algorithm == "joint":
+        total = math.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError("start factors must be jointly normalized")
+    else:
+        for i, v in enumerate(vecs, start=1):
+            if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+                raise ValueError(f"start vector for mode {i} must have unit norm")
+    return vecs
+
+
 def _residual_vectors(A: ComplexTensor, lam: float, vecs: Sequence[np.ndarray]) -> float:
     conj_data = np.conj(A.data)
+    rows = [v[None] for v in vecs]
     worst = 0.0
     for k0 in range(A.order):
-        dev = _contract_excluding(conj_data, vecs, k0) - lam * np.conj(vecs[k0])
+        dev = _contract_excluding(conj_data, rows, k0)[0] - lam * np.conj(vecs[k0])
         worst = max(worst, float(np.linalg.norm(dev)))
     return worst
 
@@ -193,67 +235,125 @@ def residual(A: ComplexTensor, pair: UEigenpair) -> float:
     return _residual_vectors(A, pair.eigenvalue, pair.factors.vectors)
 
 
+def _row_norms(U: np.ndarray) -> np.ndarray:
+    """The norm of each row of U, bitwise ``np.linalg.norm`` of the row
+    alone: the same two strided dots (``np.linalg.norm(U, axis=1)`` sums
+    differently)."""
+    re, im = U.real, U.imag
+    return np.sqrt(_dot_rows(re, re) + _dot_rows(im, im))
+
+
 def _iterate(
-    value: Callable[[list[np.ndarray]], complex],
+    value: Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]],
     contract: Callable[[list[np.ndarray], int], np.ndarray],
-    vecs: list[np.ndarray],
+    rows: list[np.ndarray],
     alpha: float,
     tol: float,
     disp_tol: float,
     max_iter: int,
     record_iterates: bool,
     gauss_seidel: bool,
-) -> tuple[list[np.ndarray], complex, IterationTrace]:
-    """The shifted power iteration of the module docstring.
+) -> list:
+    """The shifted power iteration of the module docstring, on K starts.
 
-    ``value(vecs)`` is the eigenvalue estimate of an iterate and
-    ``contract(vecs, i)`` the contraction whose conjugate updates vector i.
-    Returns the final vectors, eigenvalue estimate and trace.
+    ``rows[i]`` holds the mode-i vectors of the starts, one per row.
+    ``value(rows)`` returns the eigenvalue estimates of the rows and the
+    contraction they were read from, the one that updates mode 0 next;
+    ``contract(rows, i)`` is the contraction that updates mode i >= 1.
+    Every row is computed as it would be alone. A start leaves the batch
+    when it converges, breaks down or reaches ``max_iter``.
+
+    Returns, per start, its final vectors, eigenvalue estimate and trace,
+    or the ``SolverError`` that ended it.
     """
-    trace = IterationTrace(iterates=[] if record_iterates else None)
-    lam = value(vecs)
-    trace.record(0, lam, None)
-    if record_iterates:
-        trace.iterates.append([v.copy() for v in vecs])
+    live = list(range(len(rows[0])))  # the start of each row
+    traces = [IterationTrace(iterates=[] if record_iterates else None) for _ in live]
+    results: list = [None] * len(live)
+    lam, c0 = value(rows)
+    abs_lam = []
+    for j, lam_j in enumerate(lam.tolist()):
+        traces[j].record(0, lam_j, None)
+        abs_lam.append(abs(lam_j))
+        if record_iterates:
+            traces[j].iterates.append([X[j].copy() for X in rows])
+
+    def finish(j):
+        lam_j = complex(lam[j])
+        if lam_j == 0:
+            return ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
+        return [X[j].copy() for X in rows], lam_j, traces[live[j]]
 
     for k in range(1, max_iter + 1):
+        # Rows whose update vanished: zeroed so they cannot disturb the
+        # rest of the step, and removed with the message they raise alone.
+        broken = {}
+        lam_col = lam[:, None]
+        previous = list(rows)
         if gauss_seidel:
-            displacement = 0.0
-            for i in range(len(vecs)):
-                update = lam * np.conj(contract(vecs, i)) + alpha * vecs[i]
-                nrm = float(np.linalg.norm(update))
-                if nrm == 0.0:
-                    raise BreakdownError(
-                        f"update for mode {i + 1} vanished at iteration {k}"
-                    )
-                update /= nrm
-                displacement = max(displacement, float(np.linalg.norm(update - vecs[i])))
-                vecs[i] = update
+            for i in range(len(rows)):
+                update = lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + alpha * rows[i]
+                nrm = _row_norms(update)
+                if 0.0 in nrm.tolist():
+                    for j in np.flatnonzero(nrm == 0):
+                        broken.setdefault(
+                            j, f"update for mode {i + 1} vanished at iteration {k}"
+                        )
+                    nrm[nrm == 0] = 1.0
+                update /= nrm[:, None]
+                rows[i] = update
         else:
             updates = [
-                lam * np.conj(contract(vecs, i)) + alpha * v for i, v in enumerate(vecs)
+                lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + alpha * X
+                for i, X in enumerate(rows)
             ]
-            total = math.sqrt(sum(float(np.real(np.vdot(u, u))) for u in updates))
-            if total == 0.0:
-                raise BreakdownError(f"all update vectors vanished at iteration {k}")
-            new_vecs = [u / total for u in updates]
-            displacement = max(
-                float(np.linalg.norm(nv - v)) for nv, v in zip(new_vecs, vecs)
-            )
-            vecs = new_vecs
-        new_lam = value(vecs)
-        trace.record(k, new_lam, abs(abs(new_lam) - abs(lam)))
-        stop = check_stop((lam, new_lam), tol) and displacement < disp_tol
-        lam = new_lam
-        if record_iterates:
-            trace.iterates.append([v.copy() for v in vecs])
-        if stop:
-            trace.status = "converged"
-            break
+            squares = [_dot_rows(np.conj(u), u).real.tolist() for u in updates]
+            totals = [math.sqrt(sum(sq)) for sq in zip(*squares)]
+            for j in [j for j, t in enumerate(totals) if t == 0.0]:
+                broken[j] = f"all update vectors vanished at iteration {k}"
+                totals[j] = 1.0
+            total = np.array(totals)[:, None]
+            rows = [u / total for u in updates]
+        lam, c0 = value(rows)
+        lams = lam.tolist()
+        step_errors = [abs(abs(lam_j) - a) for lam_j, a in zip(lams, abs_lam)]
+        # The displacement decides a stop only for a row whose step error is
+        # below tol (about half the steps of a converging run), so it is
+        # computed only when some row's is.
+        if min(step_errors) < tol:
+            moves = [_row_norms(X - P).tolist() for X, P in zip(rows, previous)]
+            displacements = map(max, zip(*moves))
+        else:
+            displacements = itertools.repeat(math.inf)
+        leaving = []
+        for j, (lam_j, step_error, disp_j) in enumerate(zip(lams, step_errors, displacements)):
+            trace = traces[live[j]]
+            if j in broken:
+                results[live[j]] = BreakdownError(broken[j])
+                leaving.append(j)
+                continue
+            trace.record(k, lam_j, step_error)
+            abs_lam[j] = abs(lam_j)
+            if record_iterates:
+                trace.iterates.append([X[j].copy() for X in rows])
+            if step_error < tol and disp_j < disp_tol:
+                trace.status = "converged"
+                results[live[j]] = finish(j)
+                leaving.append(j)
+        if leaving:
+            keep = np.ones(len(live), dtype=bool)
+            keep[leaving] = False
+            if not keep.any():
+                return results
+            rows = [X[keep] for X in rows]
+            lam = lam[keep]
+            # An order-1 tensor's contraction reads no vector: one row for all.
+            c0 = c0[keep] if len(c0) == len(keep) else c0
+            live = [s for s, kept in zip(live, keep) if kept]
+            abs_lam = [a for a, kept in zip(abs_lam, keep) if kept]
 
-    if lam == 0:
-        raise ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
-    return vecs, lam, trace
+    for j in range(len(live)):
+        results[live[j]] = finish(j)
+    return results
 
 
 def _verified(
@@ -269,15 +369,95 @@ def _verified(
     return UEigenpair(lam, factors, res, trace)
 
 
-def _phase_corrected(
-    A: ComplexTensor, vecs, lam: complex, scale: float, trace: IterationTrace,
-    tol: float,
+def _eigenpair(
+    A: ComplexTensor, cfg: SolverConfig, algorithm: str, vecs, lam: complex,
+    trace: IterationTrace,
 ) -> UEigenpair:
-    """Eigenpair scale * |lam| with the factors rotated by a principal m-th
-    root of |lam| / lam, rescaled to unit norm, and checked by residual."""
-    phase = _principal_root(abs(lam) / lam, A.order)
+    """The eigenpair of A from a finished iteration, checked by residual.
+
+    The iterate is rotated by a principal m-th root of |lam| / lam. Embed's
+    is then converted back to A; an iterate that does not convert raises
+    ``SolverError``. Joint's eigenvalue is (sqrt(m))^m |lam|, Gauss-Seidel's
+    |lam|, with the factors rescaled to unit norm.
+    """
+    m = A.order
+    phase = _principal_root(abs(lam) / lam, m)
+    if algorithm == "embed":
+        if trace.iterates is not None:
+            trace.iterates = [it for (it,) in trace.iterates]
+        try:
+            lifted = lift_eigenpair(
+                abs(lam), phase * vecs[0], A.dims, check_block_norms=trace.converged
+            )
+        except ValueError as exc:
+            raise SolverError(str(exc)) from None
+        return _verified(A, lifted.eigenvalue, lifted.factors, trace, cfg.tol)
     factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    return _verified(A, scale * abs(lam), factors, trace, tol)
+    scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
+    return _verified(A, scale * abs(lam), factors, trace, cfg.tol)
+
+
+def _solve_batch(
+    A: ComplexTensor, cfg: SolverConfig, algorithm: str,
+    starts: Sequence[list[np.ndarray]], record_iterates: bool = False,
+) -> list:
+    """Run ``algorithm`` from every start (vectors from ``_start_vectors``)
+    as one batch; per start, its eigenpair or the ``SolverError`` that
+    ended it."""
+    m = A.order
+    conj_data = np.conj(A.data)
+    rows = [np.stack(vecs) for vecs in zip(*starts)]
+    if algorithm == "embed":
+        bounds = np.cumsum((0,) + A.dims).tolist()
+        scale = math.factorial(m - 1)
+
+        def value(rows):
+            # Block i of the gradient of S at x is (m-1)! times A contracted
+            # with the other blocks of x: one blockwise pass per step.
+            (x,) = rows
+            blocks = [x[:, a:b] for a, b in zip(bounds, bounds[1:])]
+            grad = scale * np.concatenate(
+                [_contract_excluding(conj_data, blocks, i) for i in range(m)], axis=1
+            )
+            return _dot_rows(grad, x), grad
+
+        alpha = shift_to_embedded(cfg.alpha, m)
+    else:
+
+        def value(rows):
+            c0 = _contract_excluding(conj_data, rows, 0)
+            return _dot_rows(rows[0], c0), c0
+
+        alpha = cfg.alpha
+    # Embed and joint return their iterates rescaled by sqrt(m); settling
+    # the iterates m times tighter keeps their accuracy at tol with margin.
+    disp_tol = cfg.tol if algorithm == "gauss_seidel" else cfg.tol / m
+    outcomes = _iterate(
+        value, partial(_contract_excluding, conj_data), rows, alpha, cfg.tol,
+        disp_tol, cfg.max_iter, record_iterates, gauss_seidel=algorithm != "joint",
+    )
+    results = []
+    for outcome in outcomes:
+        if not isinstance(outcome, SolverError):
+            try:
+                outcome = _eigenpair(A, cfg, algorithm, *outcome)
+            except SolverError as exc:
+                outcome = exc
+        results.append(outcome)
+    return results
+
+
+def _solve_one(
+    A: ComplexTensor, cfg: SolverConfig, algorithm: str, start,
+    record_iterates: bool = False,
+) -> UEigenpair:
+    """``algorithm`` from one start: the batch of one, its error raised."""
+    (outcome,) = _solve_batch(
+        A, cfg, algorithm, [_start_vectors(A, algorithm, start)], record_iterates
+    )
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
 
 
 def solve_embed(
@@ -293,45 +473,7 @@ def solve_embed(
     The converged embedded eigenpair is phase-corrected and converted back to
     an eigenpair of A; an iterate that does not convert raises ``SolverError``.
     """
-    m = A.order
-    if m < 2:
-        raise ValueError("symmetric embedding needs an order >= 2 tensor")
-    x = np.asarray(start, dtype=np.complex128).reshape(-1).copy()
-    n = sum(A.dims)
-    if x.shape[0] != n:
-        raise ValueError(f"start has length {x.shape[0]}, embedding size is {n}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
-        raise ValueError("start vector must have unit norm")
-
-    conj_a = np.conj(A.data)
-    splits = np.cumsum(A.dims)[:-1]
-    grad = None
-
-    def value(vecs):
-        # Keeps the gradient for the next update: one blockwise pass per step.
-        nonlocal grad
-        blocks = np.split(vecs[0], splits)
-        grad = math.factorial(m - 1) * np.concatenate(
-            [_contract_excluding(conj_a, blocks, i) for i in range(m)]
-        )
-        return complex(np.dot(grad, vecs[0]))
-
-    # Returned factors are the blocks rescaled by sqrt(m); settling the
-    # iterate m times tighter keeps their accuracy at tol with margin.
-    (x,), lam, trace = _iterate(
-        value, lambda vecs, i: grad, [x], shift_to_embedded(cfg.alpha, m),
-        cfg.tol, cfg.tol / m, cfg.max_iter, record_iterates, gauss_seidel=True,
-    )
-    if record_iterates:
-        trace.iterates = [it for (it,) in trace.iterates]
-
-    lambda_s = abs(lam)
-    x = _principal_root(lambda_s / lam, m) * x
-    try:
-        lifted = lift_eigenpair(lambda_s, x, A.dims, check_block_norms=trace.converged)
-    except ValueError as exc:
-        raise SolverError(str(exc)) from None
-    return _verified(A, lifted.eigenvalue, lifted.factors, trace, cfg.tol)
+    return _solve_one(A, cfg, "embed", start, record_iterates)
 
 
 def solve_joint(
@@ -347,21 +489,7 @@ def solve_joint(
     rescales all vectors together. The eigenvalue of A is
     (sqrt(m))^m * |lam| with the factors rescaled to unit norm.
     """
-    m = A.order
-    vecs = _vector_list(start, A.dims)
-    total = math.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError("start factors must be jointly normalized")
-
-    conj_data = np.conj(A.data)
-    # Returned factors are the iterates rescaled by sqrt(m); settling the
-    # iterates m times tighter keeps their accuracy at tol with margin.
-    vecs, lam, trace = _iterate(
-        partial(_contract_all, conj_data), partial(_contract_excluding, conj_data),
-        vecs, cfg.alpha, cfg.tol, cfg.tol / m, cfg.max_iter, record_iterates,
-        gauss_seidel=False,
-    )
-    return _phase_corrected(A, vecs, lam, math.sqrt(m) ** m, trace, cfg.tol)
+    return _solve_one(A, cfg, "joint", start, record_iterates)
 
 
 def solve_gauss_seidel(
@@ -373,18 +501,7 @@ def solve_gauss_seidel(
     """Gauss-Seidel sweep: modes updated in order with immediate per-vector
     normalization, each update using the vectors already refreshed in the
     current sweep. ``start`` holds one unit vector per mode."""
-    vecs = _vector_list(start, A.dims)
-    for i, v in enumerate(vecs, start=1):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError(f"start vector for mode {i} must have unit norm")
-
-    conj_data = np.conj(A.data)
-    vecs, lam, trace = _iterate(
-        partial(_contract_all, conj_data), partial(_contract_excluding, conj_data),
-        vecs, cfg.alpha, cfg.tol, cfg.tol, cfg.max_iter, record_iterates,
-        gauss_seidel=True,
-    )
-    return _phase_corrected(A, vecs, lam, 1.0, trace, cfg.tol)
+    return _solve_one(A, cfg, "gauss_seidel", start, record_iterates)
 
 
 def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):
@@ -429,31 +546,35 @@ class MultiStartResult:
 
 def solve(A: ComplexTensor, cfg: SolverConfig, start, **kwargs) -> UEigenpair:
     """Run the algorithm selected by ``cfg.algorithm`` from ``start``."""
-    solver = {
-        "embed": solve_embed,
-        "joint": solve_joint,
-        "gauss_seidel": solve_gauss_seidel,
-    }[cfg.algorithm]
-    return solver(A, cfg, start, **kwargs)
+    return _solve_one(A, cfg, cfg.algorithm, start, **kwargs)
 
 
 def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     """Run the configured solver from ``cfg.starts`` seeded random starts.
 
-    Per-start generators are spawned from SeedSequence(cfg.seed), so the
-    result is identical regardless of execution order. A failed start is
-    recorded and skipped; the sweep fails only if every start fails. The
-    best eigenpair is the one with the largest eigenvalue, first occurrence
-    winning ties.
+    Per-start generators are spawned from SeedSequence(cfg.seed). The starts
+    iterate together, in chunks that keep the first contraction of a chunk
+    near 2 MB; each start's result is bitwise the one it gets alone, whatever
+    the number of starts, the chunking or the other starts' failures. A
+    failed start is recorded and skipped; the sweep fails only if every start
+    fails. The best eigenpair is the one with the largest eigenvalue, first
+    occurrence winning ties.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
-    runs = []
-    for index, child in enumerate(children):
-        start = random_start(np.random.default_rng(child), A.dims, cfg.algorithm)
-        try:
-            runs.append(StartResult(index, solve(A, cfg, start), None))
-        except SolverError as exc:
-            runs.append(StartResult(index, None, str(exc)))
+    starts = [
+        _start_vectors(A, cfg.algorithm, random_start(
+            np.random.default_rng(child), A.dims, cfg.algorithm
+        ))
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
+    ]
+    chunk = max(1, _CHUNK_ENTRIES // math.prod(A.dims[:-1]))
+    outcomes = []
+    for first in range(0, cfg.starts, chunk):
+        outcomes += _solve_batch(A, cfg, cfg.algorithm, starts[first:first + chunk])
+    runs = tuple(
+        StartResult(index, None, str(outcome))
+        if isinstance(outcome, SolverError) else StartResult(index, outcome, None)
+        for index, outcome in enumerate(outcomes)
+    )
     best = None
     for run in runs:
         if run.ok and (best is None or run.pair.eigenvalue > best.eigenvalue):
@@ -461,4 +582,4 @@ def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     if best is None:
         messages = "; ".join(f"start {r.index}: {r.error}" for r in runs)
         raise SolverError(f"every start failed ({messages})")
-    return MultiStartResult(best=best, runs=tuple(runs))
+    return MultiStartResult(best=best, runs=runs)

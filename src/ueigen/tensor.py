@@ -126,6 +126,7 @@ def _as_vectors(factors) -> tuple[np.ndarray | None, ...]:
     )
 
 
+
 def _check_factor_dims(T: ComplexTensor, vecs, skip: int | None = None):
     if len(vecs) != T.order:
         raise ValueError(f"expected {T.order} factor vectors, got {len(vecs)}")
@@ -138,25 +139,35 @@ def _check_factor_dims(T: ComplexTensor, vecs, skip: int | None = None):
             raise ValueError(f"factor {i} has length {v.shape[0]}, mode size is {d}")
 
 
-def _contract_all(conj_data: np.ndarray, vecs: Sequence[np.ndarray]) -> complex:
-    """sum conj(T) * x1 ... xm, on a pre-conjugated array."""
-    return complex(vecs[0] @ _contract_excluding(conj_data, vecs, 0))
+# Complex entries per chunk of a batched first contraction (2 MB): the
+# sampling oracle's samples and the solvers' starts are split to fit it.
+_CHUNK_ENTRIES = 1 << 17
 
 
-def _contract_excluding(conj_data: np.ndarray, vecs, k0: int) -> np.ndarray:
-    """Mode-k0 vector of sums conj(T) * prod_{i != k0} xi (k0 zero-based).
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise sum a * b of two (K, n) arrays, one stacked BLAS dot each."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    One matrix-vector product per mode: the trailing modes are contracted
-    from the last one inwards, then the leading modes from the first one, so
-    any order works and ``vecs[k0]`` is never read.
+
+def _contract_excluding(conj_data: np.ndarray, rows, k0: int) -> np.ndarray:
+    """Mode-k0 sums conj(T) * prod_{i != k0} xi, one row per factor row
+    (k0 zero-based).
+
+    ``rows[i]`` holds K mode-i factors as a (K, n_i) array; the result is
+    (K, n_k0), or (1, n_k0) for order one, where no factor is read. One
+    stacked matrix-vector product per mode: the trailing modes are
+    contracted from the last one inwards, then the leading modes from the
+    first one, so any order works and ``rows[k0]`` is never read. numpy runs
+    each stacked slice as the BLAS call a lone row makes, so every row of
+    the result is bitwise independent of the other rows and of K.
     """
     dims = conj_data.shape
-    t = conj_data
+    t = conj_data[None]
     for i in range(len(dims) - 1, k0, -1):
-        t = t.reshape(-1, dims[i]) @ vecs[i]
+        t = t.reshape(len(t), -1, dims[i]) @ rows[i][:, :, None]
     for i in range(k0):
-        t = vecs[i] @ t.reshape(dims[i], -1)
-    return t
+        t = rows[i][:, None, :] @ t.reshape(len(t), dims[i], -1)
+    return t.reshape(len(t), dims[k0])
 
 
 def from_sparse(dims: Sequence[int], entries) -> ComplexTensor:
@@ -216,7 +227,8 @@ def overlap(T: ComplexTensor, factors) -> complex:
     """
     vecs = _as_vectors(factors)
     _check_factor_dims(T, vecs)
-    return _contract_all(np.conj(T.data), vecs)
+    rows = [v[None] for v in vecs]
+    return complex(_dot_rows(rows[0], _contract_excluding(np.conj(T.data), rows, 0))[0])
 
 
 def contract_excluding(T: ComplexTensor, factors, k: int) -> np.ndarray:
@@ -229,7 +241,8 @@ def contract_excluding(T: ComplexTensor, factors, k: int) -> np.ndarray:
         raise ValueError(f"mode {k} out of range 1..{T.order}")
     vecs = _as_vectors(factors)
     _check_factor_dims(T, vecs, skip=k)
-    return _contract_excluding(np.conj(T.data), vecs, k - 1)
+    rows = [None if v is None else v[None] for v in vecs]
+    return _contract_excluding(np.conj(T.data), rows, k - 1)[0]
 
 
 def tensor_to_json(T: ComplexTensor) -> dict:

@@ -117,6 +117,11 @@ class TestSamplingOracle:
         with pytest.raises(ValueError):
             sampling_oracle(example_4_1().tensor, samples=0)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_invalid_batch(self, batch):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            sampling_oracle(example_4_1().tensor, samples=10, batch=batch)
+
 
 class TestOrthogonalSumOracle:
     """The inputs the orthogonal-sum search was tested on, now checked

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from ueigen import (
+    ALGORITHMS,
+    BreakdownError,
     ComplexTensor,
     RankOneFactors,
     SolverConfig,
@@ -19,13 +22,37 @@ from ueigen import (
     rank_one,
     residual,
     shift_to_embedded,
+    solve,
     solve_embed,
     solve_gauss_seidel,
     solve_joint,
     zeros,
 )
-from ueigen.solvers import _residual_vectors
+from ueigen.solvers import _iterate, _residual_vectors
 from conftest import random_dims, random_tensor
+
+
+def bits(pair):
+    """Everything a run reports, as exact bytes and reprs."""
+    return (
+        repr(pair.eigenvalue),
+        repr(pair.residual),
+        [v.tobytes() for v in pair.factors.vectors],
+        pair.trace.status,
+        [(s.k, repr(s.lam), repr(s.abs_lam), repr(s.step_error)) for s in pair.trace.steps],
+    )
+
+
+def solo_runs(A, cfg):
+    """Each start of ``multi_start(A, cfg)`` solved on its own."""
+    out = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.starts):
+        start = random_start(np.random.default_rng(child), A.dims, cfg.algorithm)
+        try:
+            out.append(solve(A, cfg, start))
+        except SolverError as exc:
+            out.append(str(exc))
+    return out
 
 
 def unit_vectors(rng, dims):
@@ -358,6 +385,62 @@ class TestMultiStart:
         assert all(r.ok for r in result.runs)
         best = max(r.pair.eigenvalue for r in result.runs if r.ok)
         assert result.best.eigenvalue == best
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_starts_are_independent_of_the_batch(self, ex41, algorithm):
+        cfg = SolverConfig(algorithm=algorithm, starts=10, seed=5)
+        batch = multi_start(ex41.tensor, cfg)
+        assert [bits(r.pair) for r in batch.runs] == [
+            bits(pair) for pair in solo_runs(ex41.tensor, cfg)
+        ]
+        single = multi_start(ex41.tensor, dataclasses.replace(cfg, starts=1))
+        assert bits(single.runs[0].pair) == bits(batch.runs[0].pair)
+
+    def test_failed_starts_leave_the_rest_unchanged(self, ex41):
+        # At this loose tol six of the ten embed starts fail the lift.
+        cfg = SolverConfig(algorithm="embed", tol=1.8e-3, starts=10, seed=1)
+        batch = multi_start(ex41.tensor, cfg)
+        assert [r.ok for r in batch.runs] == [False, False, True, False, False,
+                                              False, True, True, False, True]
+        assert [bits(r.pair) if r.ok else r.error for r in batch.runs] == [
+            pair if isinstance(pair, str) else bits(pair)
+            for pair in solo_runs(ex41.tensor, cfg)
+        ]
+
+    @pytest.mark.parametrize("gauss_seidel, message", [
+        (True, "update for mode 1 vanished at iteration 1"),
+        (False, "all update vectors vanished at iteration 1"),
+    ])
+    def test_breakdown_leaves_only_its_row(self, gauss_seidel, message):
+        # Row 1's update -x + x vanishes at the first step; the others stay
+        # fixed points and converge.
+        X = np.array([[1, 0], [0, 1], [0.6, 0.8j]])
+
+        def value(rows):
+            (x,) = rows
+            return np.ones(len(x), dtype=complex), -np.conj(x) * (x[:, :1] == 0)
+
+        results = _iterate(value, None, [X], 1.0, 1e-9, 1e-9, 10, False, gauss_seidel)
+        assert isinstance(results[1], BreakdownError)
+        assert str(results[1]) == message
+        for row in (0, 2):
+            (vec,), lam, trace = results[row]
+            assert np.array_equal(vec, X[row]) and lam == 1
+            assert trace.status == "converged" and trace.iterations == 1
+
+    @pytest.mark.parametrize("algorithm", ["gauss_seidel", "joint"])
+    def test_batched_starts_are_chunked(self, algorithm):
+        # 2^16 entries: chunks of four starts peak at 4.1 MB, one start at a
+        # time at 2.8 MB, all ten starts in one batch at 8.6 MB.
+        A = catalog.random_state((2,) * 16, 7).tensor
+        cfg = SolverConfig(algorithm=algorithm, starts=10, max_iter=3)
+        tracemalloc.start()
+        try:
+            multi_start(A, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_start_conventions(self):
         rng = np.random.default_rng(0)
