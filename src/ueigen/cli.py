@@ -1,11 +1,15 @@
 """Command-line interface.
 
+Each solver run becomes one record, the dict ``_record`` returns: ``solve``
+and ``bench`` print it as JSON, and every table prints it as one ``_row``.
+
 Exit codes: 0 success, 2 input error, 3 non-convergence, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -14,7 +18,7 @@ from . import catalog
 from .embedding import embedded_to_json, sym_embed
 from .entanglement import RENORM_TOLERANCE, PureState, gme_from_lambda
 from .oracle import evaluate_oracles
-from .solvers import MultiStartResult, SolverConfig, SolverError, multi_start
+from .solvers import ALGORITHMS, SolverConfig, SolverError, multi_start
 from .tensor import ComplexTensor, norm, tensor_from_json, tensor_to_json
 
 EXIT_OK = 0
@@ -22,8 +26,8 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
-_ALGO_FLAGS = {"embed": "embed", "joint": "joint", "gauss-seidel": "gauss_seidel"}
-_ALGO_NAMES = {v: k for k, v in _ALGO_FLAGS.items()}
+_ALGO_FLAGS = {a.replace("_", "-"): a for a in ALGORITHMS}
+_DEFAULTS = SolverConfig()
 
 
 class InputError(Exception):
@@ -37,12 +41,13 @@ def _add_input_args(parser: argparse.ArgumentParser):
 
 
 def _add_solver_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--algo", default="gauss-seidel", choices=sorted(_ALGO_FLAGS))
-    parser.add_argument("--alpha", type=float, default=1.0, help="positive shift")
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--max-iter", type=int, default=5000)
-    parser.add_argument("--starts", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    default_algo = _DEFAULTS.algorithm.replace("_", "-")
+    parser.add_argument("--algo", default=default_algo, choices=sorted(_ALGO_FLAGS))
+    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha, help="positive shift")
+    parser.add_argument("--tol", type=float, default=_DEFAULTS.tol)
+    parser.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter)
+    parser.add_argument("--starts", type=int, default=_DEFAULTS.starts)
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
 
 def _catalog_tensor(catalog_id: str) -> ComplexTensor:
@@ -74,24 +79,34 @@ def _load_tensor(args) -> tuple[ComplexTensor, str]:
         raise InputError(f"{path}: invalid tensor JSON: {exc}") from None
 
 
-def _config(args, algorithm: str) -> SolverConfig:
-    return SolverConfig(
-        algorithm=algorithm,
-        alpha=args.alpha,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        starts=args.starts,
-        seed=args.seed,
-    )
+def _config(args, name: str, **overrides) -> SolverConfig:
+    """``SolverConfig()`` for algorithm flag ``name``, with the solver flags
+    that ``args`` defines and then ``overrides`` applied."""
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in fields}
+    return SolverConfig(**{**flags, **overrides, "algorithm": _ALGO_FLAGS[name]})
 
 
-def _result_json(
-    result: MultiStartResult, cfg: SolverConfig, gme: float | None, seconds: float
-) -> dict:
+def _gme_if_state(tensor: ComplexTensor, eigenvalue: float) -> float | None:
+    """GME when ``tensor`` is a unit-norm state, else None. An eigenvalue
+    above 1 on a state is a solver fault and raises ``SolverError``."""
+    if abs(norm(tensor) - 1.0) > RENORM_TOLERANCE:
+        return None
+    try:
+        return gme_from_lambda(eigenvalue)
+    except ValueError as exc:
+        raise SolverError(str(exc)) from None
+
+
+def _record(tensor: ComplexTensor, cfg: SolverConfig) -> dict:
+    """The result record of ``multi_start``'s best start; only the solve is timed."""
+    t0 = time.perf_counter()
+    result = multi_start(tensor, cfg)
+    seconds = time.perf_counter() - t0
     best = result.best
     return {
         "lambda": best.eigenvalue,
-        "gme": gme,
+        "gme": _gme_if_state(tensor, best.eigenvalue),
         "factors": [
             [{"re": float(z.real), "im": float(z.imag)} for z in vec]
             for vec in best.factors.vectors
@@ -106,48 +121,34 @@ def _result_json(
     }
 
 
-def _print_solution(result: MultiStartResult, gme: float | None, seconds: float):
-    best = result.best
-    print(f"lambda     = {best.eigenvalue:.4f}")
-    if gme is not None:
-        print(f"GME        = {gme:.4f}")
-    print(f"residual   = {best.residual:.3e}")
-    print(f"iterations = {best.iterations}")
-    print(f"status     = {best.trace.status}")
-    print(f"time       = {seconds:.2f} s")
-    for mode, vec in enumerate(best.factors.vectors, start=1):
-        coeffs = "  ".join(f"({z.real:+.4f}{z.imag:+.4f}i)" for z in vec)
-        print(f"x({mode})       = {coeffs}")
+_HEADER = (
+    f"{'Algorithm':<14}{'lambda':>10}{'GME':>10}{'residual':>11}"
+    f"{'iters':>8}{'status':>18}{'time(s)':>10}"
+)
 
 
-def _run(tensor: ComplexTensor, cfg: SolverConfig) -> tuple[MultiStartResult, float]:
-    """``multi_start`` and its wall time; a ``SolverError`` propagates."""
-    t0 = time.perf_counter()
-    result = multi_start(tensor, cfg)
-    return result, time.perf_counter() - t0
-
-
-def _gme_if_state(tensor: ComplexTensor, eigenvalue: float) -> float | None:
-    """GME when ``tensor`` is a unit-norm state, else None. An eigenvalue
-    above 1 on a state is a solver fault and raises ``SolverError``."""
-    if abs(norm(tensor) - 1.0) > RENORM_TOLERANCE:
-        return None
-    try:
-        return gme_from_lambda(eigenvalue)
-    except ValueError as exc:
-        raise SolverError(str(exc)) from None
+def _row(name: str, record: dict) -> str:
+    """One table line of ``record`` under ``_HEADER``."""
+    gme = "-" if record["gme"] is None else f"{record['gme']:.4f}"
+    return (
+        f"{name:<14}{record['lambda']:>10.4f}{gme:>10}{record['residual']:>11.3e}"
+        f"{record['iterations']:>8d}{record['status']:>18}"
+        f"{record['timing']['seconds']:>10.2f}"
+    )
 
 
 def cmd_solve(args) -> int:
     tensor, _ = _load_tensor(args)
-    cfg = _config(args, _ALGO_FLAGS[args.algo])
-    result, seconds = _run(tensor, cfg)
-    gme = _gme_if_state(tensor, result.best.eigenvalue)
+    record = _record(tensor, _config(args, args.algo))
     if args.format == "json":
-        print(json.dumps(_result_json(result, cfg, gme, seconds), indent=2))
+        print(json.dumps(record, indent=2))
     else:
-        _print_solution(result, gme, seconds)
-    return EXIT_OK if result.best.converged else EXIT_NO_CONVERGENCE
+        print(_HEADER)
+        print(_row(args.algo, record))
+        for mode, vec in enumerate(record["factors"], start=1):
+            coeffs = "  ".join(f"({z['re']:+.4f}{z['im']:+.4f}i)" for z in vec)
+            print(f"x({mode})       = {coeffs}")
+    return EXIT_OK if record["status"] == "converged" else EXIT_NO_CONVERGENCE
 
 
 def cmd_bench(args) -> int:
@@ -160,39 +161,25 @@ def cmd_bench(args) -> int:
             raise InputError(f"unknown algorithm {name!r}; choose from {sorted(_ALGO_FLAGS)}")
     rows = []
     for name in names:
-        cfg = _config(args, _ALGO_FLAGS[name])
         try:
-            result, seconds = _run(tensor, cfg)
-            gme = _gme_if_state(tensor, result.best.eigenvalue)
+            rows.append((name, _record(tensor, _config(args, name))))
         except SolverError as exc:
             raise SolverError(f"{name}: {exc}") from None
-        rows.append((name, cfg, result, gme, seconds))
-    values = [r.best.eigenvalue for _, _, r, _, _ in rows]
+    values = [record["lambda"] for _, record in rows]
     agree = max(values) - min(values) <= 5e-4
     if args.format == "json":
-        payload = {
-            "agree": agree,
-            "results": {
-                name: _result_json(res, cfg, gme, secs)
-                for name, cfg, res, gme, secs in rows
-            },
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"agree": agree, "results": dict(rows)}, indent=2))
     else:
-        print(f"{'Algorithm':<14}{'lambda':>10}{'GME':>10}{'iters':>8}{'time(s)':>10}")
-        for name, _, res, gme, secs in rows:
-            gme_text = f"{gme:.4f}" if gme is not None else "-"
-            print(
-                f"{name:<14}{res.best.eigenvalue:>10.4f}{gme_text:>10}"
-                f"{res.best.iterations:>8d}{secs:>10.2f}"
-            )
+        print(_HEADER)
+        for name, record in rows:
+            print(_row(name, record))
     if not agree:
         print(
             f"algorithms disagree: lambdas {', '.join(f'{v:.6f}' for v in values)}",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    if any(not r.best.converged for _, _, r, _, _ in rows):
+    if any(record["status"] != "converged" for _, record in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -202,8 +189,11 @@ def cmd_embed(args) -> int:
     emb = sym_embed(tensor)
     text = json.dumps(embedded_to_json(emb), indent=2)
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text)
     return EXIT_OK
@@ -213,15 +203,9 @@ def cmd_embed(args) -> int:
 # overrides for the slow high-order fixtures (small shift for the jointly
 # normalized update, whose effective step scales like lambda^2 m^(1-m)).
 _TABLE_ROWS: dict[int, list[tuple[str, list[str], dict]]] = {
-    1: [("example_4_1", ["embed", "joint", "gauss-seidel"], {})],
-    2: [("example_4_2", ["embed", "joint", "gauss-seidel"], {})],
-    3: [
-        (
-            "example_4_3",
-            ["embed", "joint", "gauss-seidel"],
-            {"alpha": 0.02, "max_iter": 100_000},
-        )
-    ],
+    1: [("example_4_1", list(_ALGO_FLAGS), {})],
+    2: [("example_4_2", list(_ALGO_FLAGS), {})],
+    3: [("example_4_3", list(_ALGO_FLAGS), {"alpha": 0.02, "max_iter": 100_000})],
     4: [
         ("trig_2", ["joint", "gauss-seidel"], {}),
         ("trig_5", ["joint", "gauss-seidel"], {}),
@@ -246,28 +230,16 @@ def cmd_tables(args) -> int:
     status = EXIT_OK
     for t in wanted:
         print(f"Table {t}")
-        print(f"{'Fixture':<14}{'Algorithm':<14}{'lambda':>10}{'GME':>10}{'time(s)':>10}")
+        print(f"{'Fixture':<14}{_HEADER}")
         for catalog_id, algos, overrides in _TABLE_ROWS[t]:
             tensor = _catalog_tensor(catalog_id)
             for name in algos:
-                cfg = SolverConfig(
-                    algorithm=_ALGO_FLAGS[name],
-                    alpha=overrides.get("alpha", 1.0),
-                    tol=args.tol,
-                    max_iter=overrides.get("max_iter", 5000),
-                    starts=args.starts,
-                    seed=args.seed,
-                )
                 try:
-                    result, secs = _run(tensor, cfg)
-                    lam = result.best.eigenvalue
-                    gme = _gme_if_state(tensor, lam)
+                    row = _row(name, _record(tensor, _config(args, name, **overrides)))
                 except SolverError as exc:
-                    print(f"{catalog_id:<14}{name:<14}failed: {exc}")
+                    row = f"{name:<14}failed: {exc}"
                     status = EXIT_NUMERICAL
-                    continue
-                gme_text = f"{gme:.4f}" if gme is not None else "-"
-                print(f"{catalog_id:<14}{name:<14}{lam:>10.4f}{gme_text:>10}{secs:>10.2f}")
+                print(f"{catalog_id:<14}{row}")
         print()
     return status
 
@@ -289,9 +261,8 @@ def cmd_oracle(args) -> int:
     if args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
     tensor, label = _load_tensor(args)
-    cfg = _config(args, _ALGO_FLAGS[args.algo])
-    result, seconds = _run(tensor, cfg)
-    solver_lambda = result.best.eigenvalue
+    record = _record(tensor, _config(args, args.algo))
+    solver_lambda, seconds = record["lambda"], record["timing"]["seconds"]
     print(f"{label}: solver ({args.algo}) lambda = {solver_lambda:.6f}  [{seconds:.2f} s]")
     ok = True
     for res in evaluate_oracles(tensor, samples=args.samples, seed=args.seed):
@@ -323,11 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare algorithms on one tensor")
     _add_input_args(p)
     _add_solver_args(p)
-    p.add_argument(
-        "--algos",
-        default="embed,joint,gauss-seidel",
-        help="comma-separated algorithm list",
-    )
+    all_algos = ",".join(_ALGO_FLAGS)
+    p.add_argument("--algos", default=all_algos, help="comma-separated algorithm list")
     p.add_argument("--format", default="table", choices=["table", "json"])
     p.set_defaults(func=cmd_bench)
 
@@ -338,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="regenerate the benchmark tables")
     p.add_argument("--tables", default="1,2,3,4", help="comma-separated table numbers")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tol)
+    p.add_argument("--starts", type=int, default=_DEFAULTS.starts)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("catalog", help="list or dump the fixture catalog")
@@ -365,10 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

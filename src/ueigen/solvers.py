@@ -118,10 +118,10 @@ class SolverConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("alpha", "tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.starts < 1:

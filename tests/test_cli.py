@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from ueigen import (
+    ALGORITHMS,
     ComplexTensor,
+    SolverConfig,
+    SolverError,
     catalog,
     is_symmetric,
     tensor_from_json,
@@ -75,6 +78,13 @@ class TestSolve:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--file", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_infinite_tol_rejected(self, capsys):
+        # an infinite tol would pass the stop rule at once with a wrong lambda
+        code, out, err = run(capsys, "solve", "--catalog", "example_4_1", "--tol", "inf")
+        assert code == 2
+        assert "tol" in err
+        assert out == ""
 
     def test_embed_lift_failure_is_numerical(self, capsys):
         # At tol 1e-2 the embedded iterates stop before their block norms
@@ -271,6 +281,15 @@ class TestEmbed:
         assert out == ""
         assert json.loads(out_path.read_text())["dims"] == [6, 6, 6]
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "embed", "--catalog", "example_4_1", "--output", str(out_path)
+        )
+        assert code == 2
+        assert f"cannot write {out_path}" in err
+        assert out == ""
+
 
 class TestTables:
     def test_table_one_row(self, capsys):
@@ -298,6 +317,65 @@ class TestTables:
         assert code == 2
         assert "--tables" in err
         assert out == ""
+
+
+class TestOneRowFormat:
+    """solve, bench and tables print a result record as the same row."""
+
+    @staticmethod
+    def untimed_row(out, prefix):
+        (row,) = [l for l in out.splitlines() if l.startswith(prefix)]
+        return row.rsplit(None, 1)[0]
+
+    def test_solve_bench_and_tables_rows_agree(self, capsys):
+        common = ("--starts", "2", "--seed", "0")
+        code, solve_out, _ = run(capsys, "solve", "--catalog", "example_4_1", *common)
+        assert code == 0
+        code, bench_out, _ = run(
+            capsys, "bench", "--catalog", "example_4_1", "--algos", "gauss-seidel", *common
+        )
+        assert code == 0
+        code, tables_out, _ = run(capsys, "tables", "--tables", "1", *common)
+        assert code == 0
+        row = self.untimed_row(solve_out, "gauss-seidel")
+        assert row == self.untimed_row(bench_out, "gauss-seidel")
+        fixture = "example_4_1".ljust(14)
+        assert self.untimed_row(tables_out, fixture + "gauss-seidel") == fixture + row
+
+
+class TestSolverDefaults:
+    """With no solver flags, every command solves with SolverConfig()'s values."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+
+        def record_only(tensor, cfg):
+            seen.append(cfg)
+            raise SolverError("not solved")
+
+        monkeypatch.setattr(ueigen.cli, "multi_start", record_only)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv, algorithm",
+        [
+            (["solve"], "gauss_seidel"),
+            (["bench", "--algos", "joint"], "joint"),
+            (["oracle", "--samples", "1"], "gauss_seidel"),
+        ],
+    )
+    def test_command(self, capsys, configs, argv, algorithm):
+        code, _, _ = run(capsys, *argv, "--catalog", "example_4_1")
+        assert code == 4
+        assert configs == [SolverConfig(algorithm=algorithm)]
+
+    def test_tables(self, capsys, configs):
+        code, _, _ = run(capsys, "tables", "--tables", "1,3")
+        assert code == 4
+        assert configs == [SolverConfig(algorithm=a) for a in ALGORITHMS] + [
+            SolverConfig(algorithm=a, alpha=0.02, max_iter=100_000) for a in ALGORITHMS
+        ]
 
 
 class TestCatalogCommand:

@@ -156,6 +156,10 @@ class TestStartValidation:
             SolverConfig(starts=0)
         with pytest.raises(ValueError):
             SolverConfig(algorithm="hopm")
+        for name in ("alpha", "tol"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(**{name: value})
 
 
 class TestEmbedMemory:
