@@ -16,10 +16,8 @@ from .tensor import (
 )
 from .embedding import (
     EmbeddedTensor,
-    LiftedEigenpair,
     embedded_to_json,
     is_symmetric,
-    lift_eigenpair,
     shift_to_embedded,
     sym_embed,
 )
@@ -50,7 +48,7 @@ from .oracle import (
 )
 from . import catalog
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -58,7 +56,6 @@ __all__ = [
     "ComplexTensor",
     "EmbeddedTensor",
     "IterationTrace",
-    "LiftedEigenpair",
     "MultiStartResult",
     "OracleResult",
     "PureState",
@@ -76,7 +73,6 @@ __all__ = [
     "from_sparse",
     "gme_from_lambda",
     "is_symmetric",
-    "lift_eigenpair",
     "multi_start",
     "norm",
     "overlap",

@@ -156,9 +156,11 @@ def cmd_bench(args) -> int:
     names = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not names:
         raise InputError(f"--algos names no algorithm: {args.algos!r}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in _ALGO_FLAGS:
             raise InputError(f"unknown algorithm {name!r}; choose from {sorted(_ALGO_FLAGS)}")
+        if name in names[:i]:
+            raise InputError(f"--algos names {name!r} more than once")
     rows = []
     for name in names:
         try:
@@ -227,15 +229,21 @@ def cmd_tables(args) -> int:
     for t in wanted:
         if t not in _TABLE_ROWS:
             raise InputError(f"no table {t}; available: {sorted(_TABLE_ROWS)}")
+    # Every row's config is built, and so checked, before anything is printed.
+    tables = [
+        (t, [(catalog_id, [(name, _config(args, name, **overrides)) for name in algos])
+             for catalog_id, algos, overrides in _TABLE_ROWS[t]])
+        for t in wanted
+    ]
     status = EXIT_OK
-    for t in wanted:
+    for t, fixtures in tables:
         print(f"Table {t}")
         print(f"{'Fixture':<14}{_HEADER}")
-        for catalog_id, algos, overrides in _TABLE_ROWS[t]:
+        for catalog_id, runs in fixtures:
             tensor = _catalog_tensor(catalog_id)
-            for name in algos:
+            for name, cfg in runs:
                 try:
-                    row = _row(name, _record(tensor, _config(args, name, **overrides)))
+                    row = _row(name, _record(tensor, cfg))
                 except SolverError as exc:
                     row = f"{name:<14}failed: {exc}"
                     status = EXIT_NUMERICAL

@@ -1,11 +1,11 @@
-"""Symmetric embedding of a non-symmetric tensor and eigenpair conversion.
+"""Symmetric embedding of a non-symmetric tensor.
 
 An order-m tensor A with mode sizes (n1, ..., nm) embeds into a symmetric
 cubical tensor S of size n = n1 + ... + nm per mode: partition each mode of S
 into m blocks with lengths (n1, ..., nm); the block at multi-index i equals
 the i-transposition of A when i is a permutation of 1..m and is zero
-otherwise. Eigenpairs of S with a single symmetric eigenvector convert back
-to eigenpairs of A with one vector per mode.
+otherwise. An eigenpair (lambda_S, x) of S gives one of A: the m blocks of x
+rescaled to unit norm, with eigenvalue (sqrt(m))^m / m! * lambda_S.
 """
 
 from __future__ import annotations
@@ -13,18 +13,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .tensor import ComplexTensor, RankOneFactors, tensor_to_json
+from .tensor import ComplexTensor, tensor_to_json
 
 __all__ = [
     "EmbeddedTensor",
-    "LiftedEigenpair",
     "sym_embed",
     "is_symmetric",
-    "lift_eigenpair",
     "shift_to_embedded",
     "embedded_to_json",
 ]
@@ -37,19 +34,6 @@ class EmbeddedTensor:
 
     tensor: ComplexTensor
     source_dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LiftedEigenpair:
-    """Eigenvalue and per-mode unit factors recovered from an embedded pair.
-
-    ``block_norms`` are the norms of the eigenvector blocks before
-    rescaling; for a true embedded eigenpair they all equal 1/sqrt(m).
-    """
-
-    eigenvalue: float
-    factors: RankOneFactors
-    block_norms: tuple[float, ...]
 
 
 def sym_embed(A: ComplexTensor) -> EmbeddedTensor:
@@ -89,45 +73,6 @@ def is_symmetric(S: ComplexTensor, tol: float = 1e-12) -> bool:
         if np.max(np.abs(S.data - np.transpose(S.data, axes))) > tol:
             return False
     return True
-
-
-def lift_eigenpair(
-    lambda_s: float,
-    x: np.ndarray,
-    source_dims: Sequence[int],
-    block_norm_tol: float = 1e-6,
-    check_block_norms: bool = True,
-) -> LiftedEigenpair:
-    """Convert an embedded eigenpair (lambda_s, x) back to the source tensor.
-
-    Splits x into per-mode blocks, checks every block norm is 1/sqrt(m)
-    within ``block_norm_tol`` (a failed check signals x is not an embedded
-    eigenvector), and returns eigenvalue (sqrt(m))^m / m! * lambda_s with
-    unit factors sqrt(m) * block. ``lambda_s`` must be nonzero: the
-    correspondence is undefined at a zero eigenvalue.
-    """
-    if lambda_s == 0:
-        raise ValueError("cannot lift an eigenpair with zero eigenvalue")
-    dims = tuple(int(d) for d in source_dims)
-    m = len(dims)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != sum(dims):
-        raise ValueError(f"vector length {x.shape[0]} != sum of dims {sum(dims)}")
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    blocks = [x[offsets[i] : offsets[i + 1]] for i in range(m)]
-    block_norms = tuple(float(np.linalg.norm(b)) for b in blocks)
-    target = 1.0 / math.sqrt(m)
-    if check_block_norms:
-        worst = max(abs(bn - target) for bn in block_norms)
-        if worst > block_norm_tol:
-            raise ValueError(
-                f"block norms {block_norms} deviate from 1/sqrt({m})={target:.6f} "
-                f"by {worst:.3e} (tol {block_norm_tol:.1e}); "
-                "input is not an embedded eigenvector"
-            )
-    lambda_a = math.sqrt(m) ** m / math.factorial(m) * float(lambda_s)
-    factors = RankOneFactors.per_vector(blocks)
-    return LiftedEigenpair(lambda_a, factors, block_norms)
 
 
 def shift_to_embedded(alpha_a: float, m: int) -> float:

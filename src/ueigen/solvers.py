@@ -12,13 +12,14 @@ with per-vector normalization (later updates of a sweep read earlier ones):
 
 * ``embed``        -- one vector on the symmetric embedding S of A (the two
                       orders coincide; S's gradient is read blockwise from
-                      A), then converted back to A;
+                      A), split back into A's m mode blocks at the end;
 * ``joint``        -- the m mode vectors of A in Jacobi order;
 * ``gauss_seidel`` -- the m mode vectors of A in Gauss-Seidel order.
 
 With matched shifts (alpha_embedded = m!(m-1)! alpha) the embed and joint
 iterations produce identical iterates; the Gauss-Seidel sweep is distinct
-and typically converges in far fewer iterations.
+and typically converges in far fewer iterations. All three finish alike, in
+``_eigenpair``, and are checked by the same residual rule below.
 
 The loop runs a batch of K starts: each mode's iterate is a (K, n_i) array
 and lambda a length-K array, so one pass advances every live start, and a
@@ -52,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import lift_eigenpair, shift_to_embedded
+from .embedding import shift_to_embedded
 from .tensor import (
     _CHUNK_ENTRIES,
     ComplexTensor,
@@ -375,25 +376,21 @@ def _eigenpair(
 ) -> UEigenpair:
     """The eigenpair of A from a finished iteration, checked by residual.
 
-    The iterate is rotated by a principal m-th root of |lam| / lam. Embed's
-    is then converted back to A; an iterate that does not convert raises
-    ``SolverError``. Joint's eigenvalue is (sqrt(m))^m |lam|, Gauss-Seidel's
-    |lam|, with the factors rescaled to unit norm.
+    The iterate is rotated by a principal m-th root of |lam| / lam, embed's
+    one vector is split into A's m mode blocks, and the factors are the
+    vectors rescaled to unit norm. The eigenvalue is |lam| times
+    (sqrt(m))^m / m! for embed, (sqrt(m))^m for joint and 1 for Gauss-Seidel.
     """
     m = A.order
     phase = _principal_root(abs(lam) / lam, m)
     if algorithm == "embed":
         if trace.iterates is not None:
             trace.iterates = [it for (it,) in trace.iterates]
-        try:
-            lifted = lift_eigenpair(
-                abs(lam), phase * vecs[0], A.dims, check_block_norms=trace.converged
-            )
-        except ValueError as exc:
-            raise SolverError(str(exc)) from None
-        return _verified(A, lifted.eigenvalue, lifted.factors, trace, cfg.tol)
+        vecs = np.split(vecs[0], np.cumsum(A.dims[:-1]))
+        scale = math.sqrt(m) ** m / math.factorial(m)
+    else:
+        scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
     factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
     return _verified(A, scale * abs(lam), factors, trace, cfg.tol)
 
 
@@ -436,15 +433,11 @@ def _solve_batch(
         value, partial(_contract_excluding, conj_data), rows, alpha, cfg.tol,
         disp_tol, cfg.max_iter, record_iterates, gauss_seidel=algorithm != "joint",
     )
-    results = []
-    for outcome in outcomes:
-        if not isinstance(outcome, SolverError):
-            try:
-                outcome = _eigenpair(A, cfg, algorithm, *outcome)
-            except SolverError as exc:
-                outcome = exc
-        results.append(outcome)
-    return results
+    return [
+        outcome if isinstance(outcome, SolverError)
+        else _eigenpair(A, cfg, algorithm, *outcome)
+        for outcome in outcomes
+    ]
 
 
 def _solve_one(
@@ -470,8 +463,8 @@ def solve_embed(
 
     ``start`` is a unit vector of length sum(dims). S is never built: block i
     of its gradient is (m-1)! times A contracted with the other blocks of x.
-    The converged embedded eigenpair is phase-corrected and converted back to
-    an eigenpair of A; an iterate that does not convert raises ``SolverError``.
+    The eigenvalue of A is (sqrt(m))^m / m! * |lam|, its factors the blocks
+    of x rescaled to unit norm.
     """
     return _solve_one(A, cfg, "embed", start, record_iterates)
 

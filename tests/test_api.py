@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "ComplexTensor",
     "EmbeddedTensor",
     "IterationTrace",
-    "LiftedEigenpair",
     "MultiStartResult",
     "OracleResult",
     "PureState",
@@ -30,7 +29,6 @@ PUBLIC_NAMES = [
     "from_sparse",
     "gme_from_lambda",
     "is_symmetric",
-    "lift_eigenpair",
     "multi_start",
     "norm",
     "overlap",

@@ -10,7 +10,6 @@ from ueigen import (
     from_array,
     from_sparse,
     is_symmetric,
-    lift_eigenpair,
     norm,
     overlap,
     shift_to_embedded,
@@ -99,45 +98,6 @@ class TestIsSymmetric:
     def test_non_cubical_rejected(self):
         with pytest.raises(ValueError, match="cubical"):
             is_symmetric(from_sparse((2, 3), {}))
-
-
-class TestLiftEigenpair:
-    def test_coefficient_order_three(self):
-        # (sqrt 3)^3 / 3! = sqrt(3)/2
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        x = np.concatenate([b / (math.sqrt(3) * np.linalg.norm(b)) for b in split_blocks(x, (2, 2, 2))])
-        lifted = lift_eigenpair(1.0, x, (2, 2, 2))
-        assert lifted.eigenvalue == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
-        lifted = lift_eigenpair(0.9428, x, (2, 2, 2))
-        assert lifted.eigenvalue == pytest.approx(0.8165, abs=5e-5)
-
-    def test_coefficient_order_two_is_identity(self):
-        x = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
-        lifted = lift_eigenpair(0.7, x, (2, 2))
-        assert lifted.eigenvalue == pytest.approx(0.7, rel=1e-12)
-
-    def test_factors_are_unit_blocks(self):
-        rng = np.random.default_rng(6)
-        dims = (3, 2, 4)
-        blocks = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
-        blocks = [b / (math.sqrt(3) * np.linalg.norm(b)) for b in blocks]
-        x = np.concatenate(blocks)
-        lifted = lift_eigenpair(2.0, x, dims)
-        assert lifted.factors.norms() == pytest.approx((1.0,) * 3, abs=1e-12)
-        for factor, blk in zip(lifted.factors.vectors, blocks):
-            np.testing.assert_allclose(factor, math.sqrt(3) * blk, atol=1e-12)
-        assert lifted.block_norms == pytest.approx((1 / math.sqrt(3),) * 3, abs=1e-12)
-
-    def test_zero_eigenvalue_rejected(self):
-        x = np.ones(4, dtype=complex) / 2
-        with pytest.raises(ValueError, match="zero eigenvalue"):
-            lift_eigenpair(0.0, x, (2, 2))
-
-    def test_unbalanced_blocks_rejected(self):
-        x = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError, match="block norms"):
-            lift_eigenpair(1.0, x, (2, 2))
 
 
 class TestShiftToEmbedded:
