@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ueigen import (
+    SolverConfig,
+    ZeroEigenvalueError,
     contract_excluding,
     embedded_to_json,
     from_array,
@@ -12,9 +14,12 @@ from ueigen import (
     is_symmetric,
     norm,
     overlap,
+    random_start,
     shift_to_embedded,
+    solve_embed,
     sym_embed,
     tensor_from_json,
+    zeros,
 )
 from conftest import random_dims, random_tensor
 
@@ -98,6 +103,16 @@ class TestIsSymmetric:
     def test_non_cubical_rejected(self):
         with pytest.raises(ValueError, match="cubical"):
             is_symmetric(from_sparse((2, 3), {}))
+
+
+class TestLiftEigenpair:
+    def test_zero_eigenvalue_rejected(self):
+        # A zero tensor drives the embedded iteration to lambda = 0, where no
+        # U-eigenvalue of A can be recovered from the embedded eigenpair.
+        A = zeros((2, 2, 2))
+        x0 = random_start(np.random.default_rng(1), A.dims, "embed")
+        with pytest.raises(ZeroEigenvalueError, match="zero eigenvalue"):
+            solve_embed(A, SolverConfig(algorithm="embed", max_iter=50), x0)
 
 
 class TestShiftToEmbedded:

@@ -118,9 +118,6 @@ class TestFixedPoints:
         cfg = SolverConfig(algorithm="joint", max_iter=50)
         with pytest.raises(ZeroEigenvalueError):
             solve_joint(A, cfg, start)
-        x0 = random_start(rng, (2, 2, 2), "embed")
-        with pytest.raises(ZeroEigenvalueError):
-            solve_embed(A, SolverConfig(algorithm="embed", max_iter=50), x0)
 
 
 class TestStartValidation:
