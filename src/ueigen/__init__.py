@@ -30,7 +30,6 @@ from .solvers import (
     SolverError,
     UEigenpair,
     ZeroEigenvalueError,
-    check_stop,
     multi_start,
     random_start,
     residual,
@@ -48,7 +47,7 @@ from .oracle import (
 )
 from . import catalog
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -65,7 +64,6 @@ __all__ = [
     "UEigenpair",
     "ZeroEigenvalueError",
     "catalog",
-    "check_stop",
     "contract_excluding",
     "embedded_to_json",
     "evaluate_oracles",

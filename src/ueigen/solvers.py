@@ -31,16 +31,15 @@ start solver is the batch of one; ``multi_start`` runs its starts in
 chunks that keep the first contraction near 2 MB.
 
 Convergence detection: an iteration stops once the eigenvalue-magnitude
-increment | |lam_k| - |lam_{k-1}| | is below ``tol`` (the ``check_stop``
-criterion) *and* every vector moved by less than ``tol`` (``tol / m`` for
-embed and joint) since the previous iteration. The displacement condition
-is needed because the eigenvalue estimate is stationary in the iterates:
-its increments fall below tol while the eigenvector error is still near
-sqrt(tol), which would leave residuals orders of magnitude above the
-eigenvalue accuracy. Both halves can still pass far from an eigenpair when
-the iterate barely moves (joint's lam scales like sqrt(m)^-m), so a stop
-whose verified residual exceeds 100 tol max(1, lam) has status
-``"stalled"``.
+increment | |lam_k| - |lam_{k-1}| | is below ``tol`` *and* every vector
+moved by less than ``tol`` (``tol / m`` for embed and joint) since the
+previous iteration. The displacement condition is needed because the
+eigenvalue estimate is stationary in the iterates: its increments fall
+below tol while the eigenvector error is still near sqrt(tol), which would
+leave residuals orders of magnitude above the eigenvalue accuracy. Both
+halves can still pass far from an eigenpair when the iterate barely moves
+(joint's lam scales like sqrt(m)^-m), so a stop whose verified residual
+exceeds 100 tol max(1, lam) has status ``"stalled"``.
 """
 
 from __future__ import annotations
@@ -58,6 +57,8 @@ from .tensor import (
     _CHUNK_ENTRIES,
     ComplexTensor,
     RankOneFactors,
+    _as_vectors,
+    _check_factor_dims,
     _contract_excluding,
     _dot_rows,
 )
@@ -78,7 +79,6 @@ __all__ = [
     "solve_gauss_seidel",
     "solve",
     "residual",
-    "check_stop",
     "multi_start",
     "random_start",
 ]
@@ -176,40 +176,26 @@ class UEigenpair:
         return self.trace.converged
 
 
-def check_stop(lambdas: Sequence[complex], tol: float) -> bool:
-    """True once the last two eigenvalue magnitudes differ by less than tol."""
-    if len(lambdas) < 2:
-        raise ValueError("need at least two eigenvalue estimates")
-    return abs(abs(lambdas[-1]) - abs(lambdas[-2])) < tol
-
-
 def _principal_root(w: complex, m: int) -> complex:
     """Principal m-th root: argument in (-pi/m, pi/m]."""
     return complex(w) ** (1.0 / m)
 
 
-def _vector_list(start, dims) -> list[np.ndarray]:
-    vecs = start.vectors if isinstance(start, RankOneFactors) else start
-    out = [np.asarray(v, dtype=np.complex128).reshape(-1).copy() for v in vecs]
-    if len(out) != len(dims) or any(v.shape[0] != d for v, d in zip(out, dims)):
-        raise ValueError("start factors do not match the tensor dimensions")
-    return out
-
-
-def _start_vectors(A: ComplexTensor, algorithm: str, start) -> list[np.ndarray]:
+def _start_vectors(A: ComplexTensor, algorithm: str, start) -> Sequence[np.ndarray]:
     """The vectors of ``start``, checked against the normalization that
     ``algorithm`` iterates in (see ``random_start``)."""
     if algorithm == "embed":
         if A.order < 2:
             raise ValueError("symmetric embedding needs an order >= 2 tensor")
-        x = np.asarray(start, dtype=np.complex128).reshape(-1).copy()
+        x = np.asarray(start, dtype=np.complex128).reshape(-1)
         n = sum(A.dims)
         if x.shape[0] != n:
             raise ValueError(f"start has length {x.shape[0]}, embedding size is {n}")
         if abs(np.linalg.norm(x) - 1.0) > 1e-8:
             raise ValueError("start vector must have unit norm")
         return [x]
-    vecs = _vector_list(start, A.dims)
+    vecs = _as_vectors(start)
+    _check_factor_dims(A, vecs)
     if algorithm == "joint":
         total = math.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
         if abs(total - 1.0) > 1e-8:
@@ -271,10 +257,8 @@ def _iterate(
     traces = [IterationTrace(iterates=[] if record_iterates else None) for _ in live]
     results: list = [None] * len(live)
     lam, c0 = value(rows)
-    abs_lam = []
     for j, lam_j in enumerate(lam.tolist()):
         traces[j].record(0, lam_j, None)
-        abs_lam.append(abs(lam_j))
         if record_iterates:
             traces[j].iterates.append([X[j].copy() for X in rows])
 
@@ -316,7 +300,9 @@ def _iterate(
             rows = [u / total for u in updates]
         lam, c0 = value(rows)
         lams = lam.tolist()
-        step_errors = [abs(abs(lam_j) - a) for lam_j, a in zip(lams, abs_lam)]
+        step_errors = [
+            abs(abs(lam_j) - traces[s].steps[-1].abs_lam) for lam_j, s in zip(lams, live)
+        ]
         # The displacement decides a stop only for a row whose step error is
         # below tol (about half the steps of a converging run), so it is
         # computed only when some row's is.
@@ -333,7 +319,6 @@ def _iterate(
                 leaving.append(j)
                 continue
             trace.record(k, lam_j, step_error)
-            abs_lam[j] = abs(lam_j)
             if record_iterates:
                 trace.iterates.append([X[j].copy() for X in rows])
             if step_error < tol and disp_j < disp_tol:
@@ -350,24 +335,10 @@ def _iterate(
             # An order-1 tensor's contraction reads no vector: one row for all.
             c0 = c0[keep] if len(c0) == len(keep) else c0
             live = [s for s, kept in zip(live, keep) if kept]
-            abs_lam = [a for a, kept in zip(abs_lam, keep) if kept]
 
     for j in range(len(live)):
         results[live[j]] = finish(j)
     return results
-
-
-def _verified(
-    A: ComplexTensor, lam: float, factors: RankOneFactors, trace: IterationTrace,
-    tol: float,
-) -> UEigenpair:
-    """The eigenpair with its residual. A converged trace whose residual
-    exceeds 100 tol max(1, lam) stopped without an eigenpair and is marked
-    "stalled". The residual scales with A, hence the factor max(1, lam)."""
-    res = _residual_vectors(A, lam, factors.vectors)
-    if trace.converged and res > 100 * tol * max(1.0, lam):
-        trace.status = "stalled"
-    return UEigenpair(lam, factors, res, trace)
 
 
 def _eigenpair(
@@ -380,6 +351,9 @@ def _eigenpair(
     one vector is split into A's m mode blocks, and the factors are the
     vectors rescaled to unit norm. The eigenvalue is |lam| times
     (sqrt(m))^m / m! for embed, (sqrt(m))^m for joint and 1 for Gauss-Seidel.
+    A converged trace whose residual exceeds 100 tol max(1, eigenvalue)
+    stopped without an eigenpair and is marked "stalled". The residual scales
+    with A, hence the factor max(1, eigenvalue).
     """
     m = A.order
     phase = _principal_root(abs(lam) / lam, m)
@@ -391,7 +365,11 @@ def _eigenpair(
     else:
         scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
     factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    return _verified(A, scale * abs(lam), factors, trace, cfg.tol)
+    eigenvalue = scale * abs(lam)
+    res = _residual_vectors(A, eigenvalue, factors.vectors)
+    if trace.converged and res > 100 * cfg.tol * max(1.0, eigenvalue):
+        trace.status = "stalled"
+    return UEigenpair(eigenvalue, factors, res, trace)
 
 
 def _solve_batch(

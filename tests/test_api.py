@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -21,7 +22,6 @@ PUBLIC_NAMES = [
     "UEigenpair",
     "ZeroEigenvalueError",
     "catalog",
-    "check_stop",
     "contract_excluding",
     "embedded_to_json",
     "evaluate_oracles",
@@ -48,6 +48,7 @@ PUBLIC_NAMES = [
     "zeros",
 ]
 
+ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ["tensor", "embedding", "solvers", "entanglement", "oracle", "catalog"]
 
 
@@ -68,7 +69,41 @@ def test_submodule_names_exist(module):
 
 
 def test_version_matches_pyproject():
-    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert ueigen.__version__ == match.group(1)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads; ``__all__`` entries count as
+    read, ``from __future__`` imports are skipped."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in read
+    ]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "ueigen").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")
+    )
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ueigen import ComplexTensor, PureState, norm
+from ueigen import PureState, norm
 from ueigen.catalog import (
     CATALOG,
     build,

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from ueigen import (

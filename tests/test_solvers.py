@@ -14,7 +14,6 @@ from ueigen import (
     SolverError,
     ZeroEigenvalueError,
     catalog,
-    check_stop,
     multi_start,
     overlap,
     norm,
@@ -61,26 +60,6 @@ def unit_vectors(rng, dims):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         out.append(z / np.linalg.norm(z))
     return out
-
-
-class TestCheckStop:
-    def test_constant_sequence_stops(self):
-        assert check_stop([0.5 + 0j, 0.5 + 0j], tol=1e-9)
-
-    def test_above_threshold_continues(self):
-        assert not check_stop([0.5, 0.5 + 1e-8], tol=1e-9)
-
-    def test_geometric_decay_stops_at_expected_step(self):
-        lams = [1.0 - 10.0**-k for k in range(0, 14)]
-        stop_at = next(
-            k for k in range(1, len(lams)) if check_stop(lams[: k + 1], 1e-9)
-        )
-        # increment at step k is 9e-k; the first below 1e-9 occurs at k=10
-        assert stop_at == 10
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            check_stop([1.0], 1e-9)
 
 
 class TestFixedPoints:
