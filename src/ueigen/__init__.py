@@ -47,7 +47,7 @@ from .oracle import (
 )
 from . import catalog
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -43,7 +43,12 @@ def _add_input_args(parser: argparse.ArgumentParser):
 def _add_solver_args(parser: argparse.ArgumentParser):
     default_algo = _DEFAULTS.algorithm.replace("_", "-")
     parser.add_argument("--algo", default=default_algo, choices=sorted(_ALGO_FLAGS))
-    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha, help="positive shift")
+    parser.add_argument(
+        "--alpha", type=float, default=_DEFAULTS.alpha,
+        help="positive initial shift scale c: the shift is c*p*|lambda|^2 "
+        "(p = order for joint, else 1), and a start doubles its c whenever "
+        "|lambda| falls",
+    )
     parser.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     parser.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter)
     parser.add_argument("--starts", type=int, default=_DEFAULTS.starts)
@@ -79,12 +84,12 @@ def _load_tensor(args) -> tuple[ComplexTensor, str]:
         raise InputError(f"{path}: invalid tensor JSON: {exc}") from None
 
 
-def _config(args, name: str, **overrides) -> SolverConfig:
+def _config(args, name: str) -> SolverConfig:
     """``SolverConfig()`` for algorithm flag ``name``, with the solver flags
-    that ``args`` defines and then ``overrides`` applied."""
+    that ``args`` defines applied."""
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     flags = {k: v for k, v in vars(args).items() if k in fields}
-    return SolverConfig(**{**flags, **overrides, "algorithm": _ALGO_FLAGS[name]})
+    return SolverConfig(**{**flags, "algorithm": _ALGO_FLAGS[name]})
 
 
 def _gme_if_state(tensor: ComplexTensor, eigenvalue: float) -> float | None:
@@ -201,17 +206,15 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-# Per-row settings for the table regeneration: catalog id, algorithms, and
-# overrides for the slow high-order fixtures (small shift for the jointly
-# normalized update, whose effective step scales like lambda^2 m^(1-m)).
-_TABLE_ROWS: dict[int, list[tuple[str, list[str], dict]]] = {
-    1: [("example_4_1", list(_ALGO_FLAGS), {})],
-    2: [("example_4_2", list(_ALGO_FLAGS), {})],
-    3: [("example_4_3", list(_ALGO_FLAGS), {"alpha": 0.02, "max_iter": 100_000})],
+# The rows of each regenerated table: catalog id and algorithms.
+_TABLE_ROWS: dict[int, list[tuple[str, list[str]]]] = {
+    1: [("example_4_1", list(_ALGO_FLAGS))],
+    2: [("example_4_2", list(_ALGO_FLAGS))],
+    3: [("example_4_3", list(_ALGO_FLAGS))],
     4: [
-        ("trig_2", ["joint", "gauss-seidel"], {}),
-        ("trig_5", ["joint", "gauss-seidel"], {}),
-        ("trig_10", ["joint", "gauss-seidel"], {"max_iter": 20_000}),
+        ("trig_2", ["joint", "gauss-seidel"]),
+        ("trig_5", ["joint", "gauss-seidel"]),
+        ("trig_10", ["joint", "gauss-seidel"]),
     ],
 }
 
@@ -231,8 +234,8 @@ def cmd_tables(args) -> int:
             raise InputError(f"no table {t}; available: {sorted(_TABLE_ROWS)}")
     # Every row's config is built, and so checked, before anything is printed.
     tables = [
-        (t, [(catalog_id, [(name, _config(args, name, **overrides)) for name in algos])
-             for catalog_id, algos, overrides in _TABLE_ROWS[t]])
+        (t, [(catalog_id, [(name, _config(args, name)) for name in algos])
+             for catalog_id, algos in _TABLE_ROWS[t]])
         for t in wanted
     ]
     status = EXIT_OK

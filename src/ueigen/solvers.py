@@ -6,7 +6,7 @@ lambda with per-mode unit eigenvectors x(1..m) satisfying, for every mode k,
     contract_excluding(A, x, k) = lambda * conj(x(k)),
 
 through one loop, ``_iterate``: x_hat = lambda_prev * (conjugated
-contraction) + alpha * x, then renormalize. One switch picks Jacobi order
+contraction) + alpha_k * x, then renormalize. One switch picks Jacobi order
 with joint rescaling (squared norms summing to one) or Gauss-Seidel order
 with per-vector normalization (later updates of a sweep read earlier ones):
 
@@ -16,19 +16,28 @@ with per-vector normalization (later updates of a sweep read earlier ones):
 * ``joint``        -- the m mode vectors of A in Jacobi order;
 * ``gauss_seidel`` -- the m mode vectors of A in Gauss-Seidel order.
 
-With matched shifts (alpha_embedded = m!(m-1)! alpha) the embed and joint
-iterations produce identical iterates; the Gauss-Seidel sweep is distinct
-and typically converges in far fewer iterations. All three finish alike, in
-``_eigenpair``, and are checked by the same residual rule below.
+The shift is scale-free: alpha_k = c * p * |lambda_{k-1}|^2, with p = m for
+joint and p = 1 for the other two. At an eigenpair the update term is
+p |lambda|^2 x, so c is the shift relative to it, whatever the scale or
+order of A. Each start keeps its own c, starting at ``SolverConfig.alpha``,
+and doubles it whenever |lambda| falls by more than a relative 1e-8 in one
+step: the shifted iteration ascends monotonically once the shift is large
+enough (SS-HOPM and its adaptive-shift form GEAP, Kolda & Mayo 2011 and
+2014), and a start whose c is too small can otherwise cycle. Embed's shift
+c |lambda_S|^2 is joint's times m!(m-1)!, the factor between their update
+terms, so embed and joint produce identical iterates; the Gauss-Seidel sweep
+is distinct and typically converges in fewer iterations. All three finish
+alike, in ``_eigenpair``, and are checked by the same residual rule below.
 
 The loop runs a batch of K starts: each mode's iterate is a (K, n_i) array
 and lambda a length-K array, so one pass advances every live start, and a
-start leaves the batch when it converges, breaks down or reaches
-``max_iter``. Every batched step (the stacked contraction, the row dots and
-norms) makes, per row, the same BLAS call and arithmetic as a lone start,
-so each start's result is bitwise what it is alone, whatever K. A single-
-start solver is the batch of one; ``multi_start`` runs its starts in
-chunks that keep the first contraction near 2 MB.
+start leaves the batch when it converges, breaks down, reaches a zero
+eigenvalue (where the shift vanishes too) or reaches ``max_iter``. Every
+batched step (the stacked contraction, the row dots and norms, the shift)
+makes, per row, the same BLAS call and arithmetic as a lone start, so each
+start's result is bitwise what it is alone, whatever K. A single-start
+solver is the batch of one; ``multi_start`` runs its starts in chunks that
+keep the first contraction near 2 MB.
 
 Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` *and* every vector
@@ -38,7 +47,7 @@ eigenvalue estimate is stationary in the iterates: its increments fall
 below tol while the eigenvector error is still near sqrt(tol), which would
 leave residuals orders of magnitude above the eigenvalue accuracy. Both
 halves can still pass far from an eigenpair when the iterate barely moves
-(joint's lam scales like sqrt(m)^-m), so a stop whose verified residual
+(a large c damps every step), so a stop whose verified residual
 exceeds 100 tol max(1, lam) has status ``"stalled"``.
 """
 
@@ -52,7 +61,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import shift_to_embedded
 from .tensor import (
     _CHUNK_ENTRIES,
     ComplexTensor,
@@ -84,6 +92,9 @@ __all__ = [
 ]
 
 ALGORITHMS = ("embed", "joint", "gauss_seidel")
+# A start whose |lambda| falls by more than this fraction in one step doubles
+# its shift scale. Relative, so that rounding never fires it, whatever tol.
+_DESCENT_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -103,8 +114,9 @@ class BreakdownError(SolverError):
 class SolverConfig:
     """Settings shared by all algorithms.
 
-    ``alpha`` is the source-side shift; the embed algorithm converts it with
-    ``shift_to_embedded`` so that runs are comparable across algorithms.
+    ``alpha`` is the initial shift scale c of every start: the shift at step
+    k is c * p * |lambda_{k-1}|^2 (p = m for joint, else 1), and a start
+    doubles its c whenever |lambda| falls (see the module docstring).
     """
 
     algorithm: str = "gauss_seidel"
@@ -139,11 +151,16 @@ class IterationStep:
 
 @dataclass
 class IterationTrace:
-    """Per-step eigenvalue history plus the termination status."""
+    """Per-step eigenvalue history plus the termination status.
+
+    ``shift_scale`` is the start's final shift scale c: ``SolverConfig.alpha``
+    times 2^j when the monotone safeguard fired j times.
+    """
 
     steps: list[IterationStep] = field(default_factory=list)
     status: str = "max_iter_reached"  # or "converged" or "stalled"
     iterates: list | None = None  # populated when record_iterates is set
+    shift_scale: float | None = None  # set when the iteration ends
 
     @property
     def iterations(self) -> int:
@@ -234,7 +251,8 @@ def _iterate(
     value: Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]],
     contract: Callable[[list[np.ndarray], int], np.ndarray],
     rows: list[np.ndarray],
-    alpha: float,
+    scale: float,
+    power: int,
     tol: float,
     disp_tol: float,
     max_iter: int,
@@ -247,8 +265,10 @@ def _iterate(
     ``value(rows)`` returns the eigenvalue estimates of the rows and the
     contraction they were read from, the one that updates mode 0 next;
     ``contract(rows, i)`` is the contraction that updates mode i >= 1.
-    Every row is computed as it would be alone. A start leaves the batch
-    when it converges, breaks down or reaches ``max_iter``.
+    Each start's shift is c * ``power`` * |lam|^2, its c starting at
+    ``scale`` and doubling whenever |lam| falls. Every row is computed as it
+    would be alone. A start leaves the batch when it converges, breaks down,
+    reaches a zero eigenvalue or reaches ``max_iter``.
 
     Returns, per start, its final vectors, eigenvalue estimate and trace,
     or the ``SolverError`` that ended it.
@@ -257,6 +277,7 @@ def _iterate(
     traces = [IterationTrace(iterates=[] if record_iterates else None) for _ in live]
     results: list = [None] * len(live)
     lam, c0 = value(rows)
+    scales = np.full(len(live), float(scale))
     for j, lam_j in enumerate(lam.tolist()):
         traces[j].record(0, lam_j, None)
         if record_iterates:
@@ -266,43 +287,52 @@ def _iterate(
         lam_j = complex(lam[j])
         if lam_j == 0:
             return ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
+        traces[live[j]].shift_scale = float(scales[j])
         return [X[j].copy() for X in rows], lam_j, traces[live[j]]
 
     for k in range(1, max_iter + 1):
-        # Rows whose update vanished: zeroed so they cannot disturb the
-        # rest of the step, and removed with the message they raise alone.
-        broken = {}
+        # Rows that cannot update: at a zero eigenvalue the shift is zero
+        # too, and an update can vanish. They are zeroed so they cannot
+        # disturb the rest of the step, and removed with the error they
+        # raise alone.
+        broken = {j: finish(j) for j in np.flatnonzero(lam == 0).tolist()}
+        abs_prev = np.array([traces[s].steps[-1].abs_lam for s in live])
+        shift = (scales * power * abs_prev**2)[:, None]
         lam_col = lam[:, None]
         previous = list(rows)
         if gauss_seidel:
             for i in range(len(rows)):
-                update = lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + alpha * rows[i]
+                update = lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + shift * rows[i]
                 nrm = _row_norms(update)
                 if 0.0 in nrm.tolist():
-                    for j in np.flatnonzero(nrm == 0):
-                        broken.setdefault(
-                            j, f"update for mode {i + 1} vanished at iteration {k}"
-                        )
+                    for j in np.flatnonzero(nrm == 0).tolist():
+                        broken.setdefault(j, BreakdownError(
+                            f"update for mode {i + 1} vanished at iteration {k}"
+                        ))
                     nrm[nrm == 0] = 1.0
                 update /= nrm[:, None]
                 rows[i] = update
         else:
             updates = [
-                lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + alpha * X
+                lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + shift * X
                 for i, X in enumerate(rows)
             ]
             squares = [_dot_rows(np.conj(u), u).real.tolist() for u in updates]
             totals = [math.sqrt(sum(sq)) for sq in zip(*squares)]
             for j in [j for j, t in enumerate(totals) if t == 0.0]:
-                broken[j] = f"all update vectors vanished at iteration {k}"
+                broken.setdefault(
+                    j, BreakdownError(f"all update vectors vanished at iteration {k}")
+                )
                 totals[j] = 1.0
             total = np.array(totals)[:, None]
             rows = [u / total for u in updates]
         lam, c0 = value(rows)
         lams = lam.tolist()
-        step_errors = [
-            abs(abs(lam_j) - traces[s].steps[-1].abs_lam) for lam_j, s in zip(lams, live)
-        ]
+        abs_lams = [abs(lam_j) for lam_j in lams]
+        # The safeguard: a start whose |lam| fell by more than rounding
+        # doubles its c, as the monotone shifted iteration needs.
+        scales[np.array(abs_lams) < (1.0 - _DESCENT_TOL) * abs_prev] *= 2.0
+        step_errors = [abs(a - b) for a, b in zip(abs_lams, abs_prev.tolist())]
         # The displacement decides a stop only for a row whose step error is
         # below tol (about half the steps of a converging run), so it is
         # computed only when some row's is.
@@ -315,7 +345,7 @@ def _iterate(
         for j, (lam_j, step_error, disp_j) in enumerate(zip(lams, step_errors, displacements)):
             trace = traces[live[j]]
             if j in broken:
-                results[live[j]] = BreakdownError(broken[j])
+                results[live[j]] = broken[j]
                 leaving.append(j)
                 continue
             trace.record(k, lam_j, step_error)
@@ -332,6 +362,7 @@ def _iterate(
                 return results
             rows = [X[keep] for X in rows]
             lam = lam[keep]
+            scales = scales[keep]
             # An order-1 tensor's contraction reads no vector: one row for all.
             c0 = c0[keep] if len(c0) == len(keep) else c0
             live = [s for s, kept in zip(live, keep) if kept]
@@ -395,21 +426,19 @@ def _solve_batch(
                 [_contract_excluding(conj_data, blocks, i) for i in range(m)], axis=1
             )
             return _dot_rows(grad, x), grad
-
-        alpha = shift_to_embedded(cfg.alpha, m)
     else:
 
         def value(rows):
             c0 = _contract_excluding(conj_data, rows, 0)
             return _dot_rows(rows[0], c0), c0
-
-        alpha = cfg.alpha
     # Embed and joint return their iterates rescaled by sqrt(m); settling
     # the iterates m times tighter keeps their accuracy at tol with margin.
     disp_tol = cfg.tol if algorithm == "gauss_seidel" else cfg.tol / m
+    # At an eigenpair joint's update term is m |lam|^2 x, the others' |lam|^2 x.
     outcomes = _iterate(
-        value, partial(_contract_excluding, conj_data), rows, alpha, cfg.tol,
-        disp_tol, cfg.max_iter, record_iterates, gauss_seidel=algorithm != "joint",
+        value, partial(_contract_excluding, conj_data), rows, cfg.alpha,
+        m if algorithm == "joint" else 1, cfg.tol, disp_tol, cfg.max_iter,
+        record_iterates, gauss_seidel=algorithm != "joint",
     )
     return [
         outcome if isinstance(outcome, SolverError)

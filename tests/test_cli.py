@@ -125,21 +125,29 @@ class TestSolve:
         assert json.loads(out)["lambda"] == pytest.approx(0.8165, abs=5e-4)
 
 
-    def test_stall_exits_three(self, capsys, tmp_path):
-        # Joint's lambda on eight qubits is tiny, so its first step passes
-        # the stop rule with a residual near 0.09: not an eigenpair.
-        path = tmp_path / "q8.json"
-        state = catalog.random_state((2,) * 8, 1)
-        path.write_text(json.dumps(tensor_to_json(state.tensor)))
+    def test_stall_exits_three(self, capsys):
+        # An over-damped shift scale moves the iterate so little that the
+        # stop rule passes with a residual near 0.014: not an eigenpair.
         code, out, _ = run(
-            capsys, "solve", "--file", str(path), "--algo", "joint",
-            "--starts", "2", "--format", "json",
+            capsys, "solve", "--catalog", "example_4_1", "--algo", "joint",
+            "--alpha", "300", "--tol", "1e-4", "--starts", "2", "--seed", "1",
+            "--format", "json",
         )
         assert code == 3
         payload = json.loads(out)
         assert payload["status"] == "stalled"
         assert payload["residual"] > 100 * 1e-9
 
+
+    @pytest.mark.parametrize("algo", ["embed", "joint"])
+    def test_loose_tol_finds_the_largest_eigenvalue(self, capsys, algo):
+        # At the fixed shift of old, both stopped near 0.035 as converged.
+        code, out, _ = run(
+            capsys, "solve", "--catalog", "example_4_7", "--algo", algo,
+            "--tol", "3e-3", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["lambda"] == pytest.approx(math.sqrt(1 / 3), abs=5e-4)
 
     def test_scaled_state_converges(self, capsys, tmp_path):
         # example_4_1 times 1e3: the residual scales with A, so a converged
@@ -388,9 +396,7 @@ class TestSolverDefaults:
     def test_tables(self, capsys, configs):
         code, _, _ = run(capsys, "tables", "--tables", "1,3")
         assert code == 4
-        assert configs == [SolverConfig(algorithm=a) for a in ALGORITHMS] + [
-            SolverConfig(algorithm=a, alpha=0.02, max_iter=100_000) for a in ALGORITHMS
-        ]
+        assert configs == [SolverConfig(algorithm=a) for a in ALGORITHMS] * 2
 
 
 class TestCatalogCommand:
