@@ -46,8 +46,8 @@ def _add_solver_args(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--alpha", type=float, default=_DEFAULTS.alpha,
         help="positive initial shift scale c: the shift is c*p*|lambda|^2 "
-        "(p = order for joint, else 1), and a start doubles its c whenever "
-        "|lambda| falls",
+        "(p = order for joint, 1 for embed), and a start doubles its c "
+        "whenever |lambda| falls; Gauss-Seidel takes no shift",
     )
     parser.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     parser.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter)

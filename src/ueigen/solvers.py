@@ -17,17 +17,20 @@ with per-vector normalization (later updates of a sweep read earlier ones):
 * ``gauss_seidel`` -- the m mode vectors of A in Gauss-Seidel order.
 
 The shift is scale-free: alpha_k = c * p * |lambda_{k-1}|^2, with p = m for
-joint and p = 1 for the other two. At an eigenpair the update term is
-p |lambda|^2 x, so c is the shift relative to it, whatever the scale or
-order of A. Each start keeps its own c, starting at ``SolverConfig.alpha``,
-and doubles it whenever |lambda| falls by more than a relative 1e-8 in one
-step: the shifted iteration ascends monotonically once the shift is large
-enough (SS-HOPM and its adaptive-shift form GEAP, Kolda & Mayo 2011 and
-2014), and a start whose c is too small can otherwise cycle. Embed's shift
-c |lambda_S|^2 is joint's times m!(m-1)!, the factor between their update
-terms, so embed and joint produce identical iterates; the Gauss-Seidel sweep
-is distinct and typically converges in fewer iterations. All three finish
-alike, in ``_eigenpair``, and are checked by the same residual rule below.
+joint, p = 1 for embed and p = 0 for Gauss-Seidel. At an eigenpair the
+update term is |lambda|^2 x for embed and m |lambda|^2 x for joint, so c is
+the shift relative to it, whatever the scale or order of A. Each start keeps
+its own c, starting at ``SolverConfig.alpha``, and doubles it whenever
+|lambda| falls by more than a relative 1e-8 in one step: the shifted
+iteration ascends monotonically once the shift is large enough (SS-HOPM and
+its adaptive-shift form GEAP, Kolda & Mayo 2011 and 2014), and a start whose
+c is too small can otherwise cycle. Embed's shift c |lambda_S|^2 is joint's
+times m!(m-1)!, the factor between their update terms, so embed and joint
+produce identical iterates. Gauss-Seidel takes no shift: each of its mode
+updates maximizes |lambda| over that mode with the others fixed (an
+alternating least-squares step), so it ascends unshifted, and any shift only
+slows it. All three finish alike, in ``_eigenpair``, and are checked by the
+same residual rule below.
 
 The loop runs a batch of K starts: each mode's iterate is a (K, n_i) array
 and lambda a length-K array, so one pass advances every live start, and a
@@ -115,8 +118,9 @@ class SolverConfig:
     """Settings shared by all algorithms.
 
     ``alpha`` is the initial shift scale c of every start: the shift at step
-    k is c * p * |lambda_{k-1}|^2 (p = m for joint, else 1), and a start
-    doubles its c whenever |lambda| falls (see the module docstring).
+    k is c * p * |lambda_{k-1}|^2 (p = m for joint, 1 for embed, 0 for
+    Gauss-Seidel), and a start doubles its c whenever |lambda| falls (see
+    the module docstring).
     """
 
     algorithm: str = "gauss_seidel"
@@ -434,10 +438,12 @@ def _solve_batch(
     # Embed and joint return their iterates rescaled by sqrt(m); settling
     # the iterates m times tighter keeps their accuracy at tol with margin.
     disp_tol = cfg.tol if algorithm == "gauss_seidel" else cfg.tol / m
-    # At an eigenpair joint's update term is m |lam|^2 x, the others' |lam|^2 x.
+    # At an eigenpair joint's update term is m |lam|^2 x, embed's |lam|^2 x;
+    # the Gauss-Seidel sweep ascends unshifted.
+    power = {"joint": m, "embed": 1, "gauss_seidel": 0}[algorithm]
     outcomes = _iterate(
         value, partial(_contract_excluding, conj_data), rows, cfg.alpha,
-        m if algorithm == "joint" else 1, cfg.tol, disp_tol, cfg.max_iter,
+        power, cfg.tol, disp_tol, cfg.max_iter,
         record_iterates, gauss_seidel=algorithm != "joint",
     )
     return [

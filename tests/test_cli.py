@@ -141,7 +141,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("algo", ["embed", "joint"])
     def test_loose_tol_finds_the_largest_eigenvalue(self, capsys, algo):
-        # At the fixed shift of old, both stopped near 0.035 as converged.
+        # A loose tol must still reach the largest eigenvalue, 1/sqrt(3).
         code, out, _ = run(
             capsys, "solve", "--catalog", "example_4_7", "--algo", algo,
             "--tol", "3e-3", "--format", "json",
