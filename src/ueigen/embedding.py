@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ComplexTensor, tensor_to_json
+from .tensor import ComplexTensor, _check_dense_size, tensor_to_json
 
 __all__ = [
     "EmbeddedTensor",
@@ -42,12 +42,15 @@ def sym_embed(A: ComplexTensor) -> EmbeddedTensor:
     The result is cubical with side n = sum of A's mode sizes. Blocks
     indexed by permutations of 1..m (enumerated in lexicographic order)
     hold the corresponding transpositions of A; all other blocks are zero.
+    An embedding whose dense array would exceed 2 GiB is rejected before
+    anything is allocated.
     """
     if A.order < 2:
         raise ValueError("symmetric embedding needs an order >= 2 tensor")
     dims = A.dims
     m = A.order
     n = sum(dims)
+    _check_dense_size((n,) * m, "symmetric embedding")
     offsets = np.concatenate(([0], np.cumsum(dims)))
     data = np.zeros((n,) * m, dtype=np.complex128)
     for perm in itertools.permutations(range(m)):

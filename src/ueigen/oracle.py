@@ -1,9 +1,12 @@
 """Independent correctness anchors for the iterative solvers.
 
 None of these share iteration machinery with the solvers: the matrix oracle
-takes the top singular value from LAPACK's SVD, the sampling oracle
-evaluates random product states directly, and the flattening interval reads
-lambda off the singular values of the tensor's matrix reshapings.
+takes the top singular value from LAPACK's SVD; the sampling oracle draws
+random unit factors for modes 2..m and solves the mode-1 factor in closed
+form, with no iteration, so each sample is the overlap of an explicit
+product state (for order 1 the bound is the norm, and nothing is drawn);
+and the flattening interval reads lambda off the singular values of the
+tensor's matrix reshapings.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CHUNK_ENTRIES, ComplexTensor
+from .tensor import _CHUNK_ENTRIES, ComplexTensor, norm
 
 __all__ = [
     "OracleResult",
@@ -48,24 +51,32 @@ def sampling_oracle(
     seed: int = 0,
     batch: int = 2048,
 ) -> float:
-    """Certified lower bound: best overlap modulus over random unit factors.
+    """Certified lower bound: best overlap modulus over sampled product states.
 
-    Draws ``samples`` tuples of per-mode complex-normal unit vectors and
-    returns the largest overlap modulus found. The value can never exceed
-    the true maximum, so solver results must dominate it.
+    Draws ``samples`` tuples of complex-normal unit vectors for modes 2..m
+    and solves the mode-1 factor: with c the contraction of ``conj(A)``
+    against x_2..x_m, the best overlap over unit x_1 is ``||c||``, attained
+    by the product state with x_1 = conj(c) / ||c||. The largest ``||c||``
+    found is returned; it is the overlap of an explicit product state, so it
+    can never exceed the true maximum, and solver results must dominate it.
+    For order 1 nothing is drawn and the bound is ``||A||``, which is exact.
+    No iteration runs.
 
     The draws come in batches of ``batch`` samples, each from its own child
-    of ``SeedSequence(seed)``: per mode, real then imaginary normals of shape
-    ``(count, d)``, normalized by row. Each batch is contracted in chunks,
-    last mode first: one matrix product of the chunk's last-mode factors with
-    ``conj(A)`` reshaped to ``(prod(dims[:-1]), dims[-1])``, then one batched
-    matrix-vector product per remaining mode. The chunk keeps the first
-    product near 2 MB whatever the batch.
+    of ``SeedSequence(seed)``: per mode 2..m, real then imaginary normals of
+    shape ``(count, d)``, normalized by row. Each batch is contracted in
+    chunks, last mode first: one matrix product of the chunk's last-mode
+    factors with ``conj(A)`` reshaped to ``(prod(dims[:-1]), dims[-1])``,
+    then one batched matrix-vector product per mode down to mode 2, and a
+    row norm in place of mode 1. The chunk keeps the first product near
+    2 MB whatever the batch.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    if A.order == 1:
+        return norm(A)
     *lead_dims, last = A.dims
     lead = math.prod(lead_dims)
     conj_t = np.conj(A.data).reshape(lead, last).T
@@ -80,7 +91,7 @@ def sampling_oracle(
         count = min(batch, remaining)
         remaining -= count
         mats = []
-        for d in A.dims:
+        for d in A.dims[1:]:
             z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             mats.append(z)
@@ -89,7 +100,7 @@ def sampling_oracle(
             t = mats[-1][rows] @ conj_t
             for z in reversed(mats[:-1]):
                 t = (t.reshape(len(t), -1, z.shape[1]) @ z[rows, :, None])[..., 0]
-            best = max(best, float(np.max(np.abs(t))))
+            best = max(best, float(np.max(np.linalg.norm(t, axis=1))))
     return best
 
 

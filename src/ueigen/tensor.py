@@ -9,6 +9,7 @@ indexed 0-based as usual for numpy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -144,6 +145,21 @@ def _check_factor_dims(T: ComplexTensor, vecs, skip: int | None = None):
 _CHUNK_ENTRIES = 1 << 17
 
 
+# Largest dense tensor that ``from_sparse`` and ``sym_embed`` allocate (2 GiB).
+_MAX_DENSE_BYTES = 2 << 30
+
+
+def _check_dense_size(dims: tuple[int, ...], what: str):
+    """Raise ``ValueError`` when a complex128 array of ``dims`` would exceed
+    ``_MAX_DENSE_BYTES``; reads the dims only, so nothing is allocated."""
+    nbytes = math.prod(dims) * 16
+    if nbytes > _MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{what} of dims {dims} needs {nbytes / 2**30:.4g} GiB, "
+            f"over the {_MAX_DENSE_BYTES >> 30} GiB limit on dense tensors"
+        )
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise sum a * b of two (K, n) arrays, one stacked BLAS dot each."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -175,13 +191,15 @@ def from_sparse(dims: Sequence[int], entries) -> ComplexTensor:
 
     ``entries`` may be a mapping {index tuple: value} or an iterable of
     (index tuple, value) pairs. Unlisted entries are zero. Duplicate or
-    out-of-range indices are rejected.
+    out-of-range indices are rejected, and so are dims whose dense array
+    would exceed 2 GiB.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
     if any(d < 1 for d in dims):
         raise ValueError(f"every mode size must be >= 1, got {dims}")
+    _check_dense_size(dims, "tensor")
     data = np.zeros(dims, dtype=np.complex128)
     seen: set[tuple[int, ...]] = set()
     items = entries.items() if isinstance(entries, Mapping) else entries

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ueigen import SolverConfig, catalog, multi_start, overlap
+from ueigen import SolverConfig, catalog, contract_excluding, multi_start, overlap
 
 
 def random_tensor(rng, dims):
@@ -12,11 +12,14 @@ def random_tensor(rng, dims):
 
 
 def reference_sampling_bound(T, samples, seed, batch):
-    """``sampling_oracle`` rebuilt from its documented draws, one overlap each.
+    """``sampling_oracle`` rebuilt from its documented draws, one product
+    state per sample.
 
     Each batch of ``batch`` samples has its own child of ``SeedSequence(seed)``
-    and draws, per mode, real then imaginary normals of shape (count, d),
-    normalized by row.
+    and draws, per mode 2..m, real then imaginary normals of shape
+    (count, d), normalized by row. Each sample's mode-1 factor is the one
+    that attains the bound, conj(c) / ||c|| with c the contraction over the
+    drawn modes, and the value is the overlap modulus of that product state.
     """
     children = np.random.SeedSequence(seed).spawn(-(-samples // batch))
     best = 0.0
@@ -24,11 +27,14 @@ def reference_sampling_bound(T, samples, seed, batch):
         rng = np.random.default_rng(child)
         count = min(batch, samples - b * batch)
         mats = []
-        for d in T.dims:
+        for d in T.dims[1:]:
             z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
             mats.append(z / np.linalg.norm(z, axis=1, keepdims=True))
         for s in range(count):
-            best = max(best, abs(overlap(T, [z[s] for z in mats])))
+            drawn = [z[s] for z in mats]
+            c = contract_excluding(T, [None] + drawn, 1)
+            factors = [np.conj(c) / np.linalg.norm(c)] + drawn
+            best = max(best, abs(overlap(T, factors)))
     return best
 
 

@@ -55,6 +55,14 @@ class TestSolve:
         assert code == 4
         assert "zero eigenvalue" in err
 
+    def test_dims_over_size_budget(self, capsys, tmp_path):
+        # A dense 2000^3 tensor would take 119 GiB; only the dims are read.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": [2000, 2000, 2000], "entries": []}))
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert "over the 2 GiB limit" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [2, 2], "entries": [')
@@ -280,6 +288,17 @@ class TestEmbed:
         assert payload["source_dims"] == [2, 2]
         embedded = tensor_from_json({k: v for k, v in payload.items() if k != "source_dims"})
         assert is_symmetric(embedded, 1e-12)
+
+    def test_embedding_over_size_budget(self, capsys, tmp_path):
+        # 13 qubits embed into 26^13 entries; the size check fires before
+        # any allocation and before the 13! block permutations.
+        path = tmp_path / "q13.json"
+        state = catalog.random_state((2,) * 13, seed=0)
+        path.write_text(json.dumps(tensor_to_json(state.tensor)))
+        code, out, err = run(capsys, "embed", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "symmetric embedding" in err and "over the 2 GiB limit" in err
 
     def test_catalog_state(self, capsys):
         code, out, _ = run(capsys, "embed", "--catalog", "example_4_1")

@@ -102,6 +102,37 @@ class TestSamplingOracle:
         bound = sampling_oracle(ComplexTensor(np.ones((1,) * 52)), samples=2)
         assert bound == pytest.approx(1.0, abs=1e-12)
 
+    def test_order_one_is_the_norm(self):
+        # The one factor is solved, so the bound is exact and nothing is drawn.
+        T = from_array(np.array([0.6, 0.0, 0.8j]))
+        assert sampling_oracle(T, samples=3, seed=5) == norm(T)
+
+    def test_matrix_bound_approaches_sigma_1(self):
+        # One drawn factor per sample; the solved one makes each sample the
+        # best overlap over its mode-1 unit sphere.
+        rng = np.random.default_rng(8)
+        A = random_tensor(rng, (3, 4))
+        sigma_1 = svd_oracle(A)
+        bound = sampling_oracle(A, samples=10_000, seed=0)
+        assert 0.95 * sigma_1 <= bound <= sigma_1 + 1e-12
+
+    @pytest.mark.parametrize(
+        "build, ratio",
+        [
+            (lambda: catalog.build("trig_20").tensor, 0.2),
+            (lambda: catalog.random_state((24,) * 3, seed=0).tensor, 0.4),
+        ],
+        ids=["trig_20", "random_24^3"],
+    )
+    def test_bound_ratio_on_cubes(self, build, ratio):
+        # Solving mode 1 reaches 0.244 and 0.505 here; drawing every factor
+        # reached 0.103 and 0.220, below both thresholds.
+        T = build()
+        cfg = SolverConfig(algorithm="gauss_seidel", starts=10, seed=0)
+        lam = multi_start(T, cfg).best.eigenvalue
+        bound = sampling_oracle(T, samples=10_000, seed=0)
+        assert ratio * lam <= bound <= lam + 1e-9
+
     def test_peak_memory_is_chunked(self):
         # Unchunked, the first product of a batch of 2048 peaks at 22 MB here.
         T = catalog.random_state((24, 24, 24), seed=0).tensor

@@ -64,6 +64,13 @@ class TestFromSparse:
         with pytest.raises(ValueError, match="finite"):
             from_sparse((2,), {(1,): float("nan")})
 
+    @pytest.mark.parametrize("dims", [(2000,) * 3, (2**27 + 1,)])
+    def test_size_budget_checked_before_allocating(self, dims):
+        # 2000^3 entries take 119 GiB, and 2^27 + 1 are one entry over
+        # 2 GiB: only the dims are read, so neither is allocated.
+        with pytest.raises(ValueError, match="over the 2 GiB limit"):
+            from_sparse(dims, {})
+
 
 class TestNorm:
     def test_fixture_unit_norm(self, ex41):
