@@ -29,18 +29,23 @@ times m!(m-1)!, the factor between their update terms, so embed and joint
 produce identical iterates. Gauss-Seidel takes no shift: each of its mode
 updates maximizes |lambda| over that mode with the others fixed (an
 alternating least-squares step), so it ascends unshifted, and any shift only
-slows it. All three finish alike, in ``_eigenpair``, and are checked by the
+slows it. All three finish alike, in ``_finish``, and are checked by the
 same residual rule below.
 
-The loop runs a batch of K starts: each mode's iterate is a (K, n_i) array
-and lambda a length-K array, so one pass advances every live start, and a
-start leaves the batch when it converges, breaks down, reaches a zero
-eigenvalue (where the shift vanishes too) or reaches ``max_iter``. Every
-batched step (the stacked contraction, the row dots and norms, the shift)
-makes, per row, the same BLAS call and arithmetic as a lone start, so each
-start's result is bitwise what it is alone, whatever K. A single-start
-solver is the batch of one; ``multi_start`` runs its starts in chunks that
-keep the first contraction near 2 MB.
+A run is a batch of K starts from end to end. The starts are drawn (each
+from its own generator, as ``random_start`` draws them), stacked per mode
+and checked as one batch. In the loop each mode's iterate is a (K, n_i)
+array and lambda a length-K array, so one pass advances every live start,
+and a start leaves the batch when it converges, breaks down, reaches a zero
+eigenvalue (where the shift vanishes too) or reaches ``max_iter``. The
+finished starts are phase-corrected, normalized and checked by residual in
+one stacked pass. Every batched step (the stacked contraction, the row dots
+and norms, the shift) makes, per row, the same BLAS call and arithmetic as a
+lone start, so each start's result is bitwise what it is alone, whatever K.
+``solve`` and the single-start solvers are the batch of one, through the
+same start check and finish; ``multi_start`` runs its starts in chunks that
+keep the first contraction near 2 MB. Each start's trace keeps lambda and
+the step error as two columns; ``IterationTrace.steps`` is derived from them.
 
 Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` *and* every vector
@@ -110,7 +115,8 @@ class ZeroEigenvalueError(SolverError):
 
 
 class BreakdownError(SolverError):
-    """An update vector vanished, so normalization is undefined."""
+    """An update vector, or a vector or block of the final iterate, vanished,
+    so normalization is undefined."""
 
 
 @dataclass(frozen=True)
@@ -157,25 +163,33 @@ class IterationStep:
 class IterationTrace:
     """Per-step eigenvalue history plus the termination status.
 
+    The history is two columns: ``lams[k]`` is the eigenvalue estimate after
+    step k and ``step_errors[k]`` its | |lam_k| - |lam_{k-1}| | (None for the
+    initial value, k = 0). ``steps`` derives one ``IterationStep`` per step.
     ``shift_scale`` is the start's final shift scale c: ``SolverConfig.alpha``
     times 2^j when the monotone safeguard fired j times.
     """
 
-    steps: list[IterationStep] = field(default_factory=list)
+    lams: list[complex] = field(default_factory=list)
+    step_errors: list[float | None] = field(default_factory=list)
     status: str = "max_iter_reached"  # or "converged" or "stalled"
     iterates: list | None = None  # populated when record_iterates is set
     shift_scale: float | None = None  # set when the iteration ends
 
     @property
+    def steps(self) -> list[IterationStep]:
+        return [
+            IterationStep(k, lam, abs(lam), step_error)
+            for k, (lam, step_error) in enumerate(zip(self.lams, self.step_errors))
+        ]
+
+    @property
     def iterations(self) -> int:
-        return self.steps[-1].k if self.steps else 0
+        return max(len(self.lams) - 1, 0)
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-    def record(self, k: int, lam: complex, step_error: float | None):
-        self.steps.append(IterationStep(k, lam, abs(lam), step_error))
 
 
 @dataclass(frozen=True)
@@ -202,45 +216,55 @@ def _principal_root(w: complex, m: int) -> complex:
     return complex(w) ** (1.0 / m)
 
 
-def _start_vectors(A: ComplexTensor, algorithm: str, start) -> Sequence[np.ndarray]:
-    """The vectors of ``start``, checked against the normalization that
-    ``algorithm`` iterates in (see ``random_start``)."""
+def _start_rows(A: ComplexTensor, algorithm: str, start) -> list[np.ndarray]:
+    """The vectors of one ``solve`` start as a batch of one: a (1, n_i) row
+    per vector, checked later by ``_check_starts`` like every other batch."""
+    if algorithm == "embed":
+        vecs = [np.asarray(start, dtype=np.complex128).reshape(-1)]
+    else:
+        vecs = _as_vectors(start)
+        _check_factor_dims(A, vecs)
+    return [np.stack([v]) for v in vecs]
+
+
+def _check_starts(A: ComplexTensor, algorithm: str, rows: list[np.ndarray]):
+    """Check K starts, ``rows[i]`` holding their vector i one per row, against
+    the normalization that ``algorithm`` iterates in (see ``random_start``)."""
     if algorithm == "embed":
         if A.order < 2:
             raise ValueError("symmetric embedding needs an order >= 2 tensor")
-        x = np.asarray(start, dtype=np.complex128).reshape(-1)
         n = sum(A.dims)
-        if x.shape[0] != n:
-            raise ValueError(f"start has length {x.shape[0]}, embedding size is {n}")
-        if abs(np.linalg.norm(x) - 1.0) > 1e-8:
-            raise ValueError("start vector must have unit norm")
-        return [x]
-    vecs = _as_vectors(start)
-    _check_factor_dims(A, vecs)
+        if rows[0].shape[1] != n:
+            raise ValueError(f"start has length {rows[0].shape[1]}, embedding size is {n}")
+    norms = [_row_norms(X) for X in rows]
     if algorithm == "joint":
-        total = math.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
-        if abs(total - 1.0) > 1e-8:
+        if np.any(np.abs(np.sqrt(sum(nrm**2 for nrm in norms)) - 1.0) > 1e-8):
             raise ValueError("start factors must be jointly normalized")
-    else:
-        for i, v in enumerate(vecs, start=1):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-                raise ValueError(f"start vector for mode {i} must have unit norm")
-    return vecs
+        return
+    for i, nrm in enumerate(norms, start=1):
+        if np.any(np.abs(nrm - 1.0) > 1e-8):
+            raise ValueError(
+                "start vector must have unit norm" if algorithm == "embed"
+                else f"start vector for mode {i} must have unit norm"
+            )
 
 
-def _residual_vectors(A: ComplexTensor, lam: float, vecs: Sequence[np.ndarray]) -> float:
-    conj_data = np.conj(A.data)
-    rows = [v[None] for v in vecs]
-    worst = 0.0
-    for k0 in range(A.order):
-        dev = _contract_excluding(conj_data, rows, k0)[0] - lam * np.conj(vecs[k0])
-        worst = max(worst, float(np.linalg.norm(dev)))
-    return worst
+def _residuals(conj_data: np.ndarray, eigenvalues, rows: list[np.ndarray]) -> list[float]:
+    """Per row j: max over modes k of || contract_excluding(A, x_j, k) -
+    eigenvalues[j] conj(x_j(k)) ||, one stacked contraction per mode, each
+    row bitwise what it is alone."""
+    eig = np.array(eigenvalues, dtype=float)[:, None]
+    norms = [
+        _row_norms(_contract_excluding(conj_data, rows, k) - eig * np.conj(X)).tolist()
+        for k, X in enumerate(rows)
+    ]
+    return [max(0.0, *worst) for worst in zip(*norms)]
 
 
 def residual(A: ComplexTensor, pair: UEigenpair) -> float:
     """Max over modes of || contract_excluding(A, x, k) - lambda conj(x(k)) ||."""
-    return _residual_vectors(A, pair.eigenvalue, pair.factors.vectors)
+    rows = [v[None] for v in pair.factors.vectors]
+    return _residuals(np.conj(A.data), [pair.eigenvalue], rows)[0]
 
 
 def _row_norms(U: np.ndarray) -> np.ndarray:
@@ -278,14 +302,14 @@ def _iterate(
     or the ``SolverError`` that ended it.
     """
     live = list(range(len(rows[0])))  # the start of each row
-    traces = [IterationTrace(iterates=[] if record_iterates else None) for _ in live]
     results: list = [None] * len(live)
     lam, c0 = value(rows)
+    traces = [IterationTrace([lam_j], [None]) for lam_j in lam.tolist()]
+    if record_iterates:
+        for j, trace in enumerate(traces):
+            trace.iterates = [[X[j].copy() for X in rows]]
+    abs_lam = np.array([abs(trace.lams[0]) for trace in traces])
     scales = np.full(len(live), float(scale))
-    for j, lam_j in enumerate(lam.tolist()):
-        traces[j].record(0, lam_j, None)
-        if record_iterates:
-            traces[j].iterates.append([X[j].copy() for X in rows])
 
     def finish(j):
         lam_j = complex(lam[j])
@@ -300,19 +324,21 @@ def _iterate(
         # disturb the rest of the step, and removed with the error they
         # raise alone.
         broken = {j: finish(j) for j in np.flatnonzero(lam == 0).tolist()}
-        abs_prev = np.array([traces[s].steps[-1].abs_lam for s in live])
-        shift = (scales * power * abs_prev**2)[:, None]
+        # Gauss-Seidel (power 0) adds no shift term at all.
+        shift = (scales * power * abs_lam**2)[:, None] if power else None
         lam_col = lam[:, None]
         previous = list(rows)
         if gauss_seidel:
             for i in range(len(rows)):
-                update = lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + shift * rows[i]
+                update = lam_col * np.conj(c0 if i == 0 else contract(rows, i))
+                if power:
+                    update += shift * rows[i]
                 nrm = _row_norms(update)
                 if 0.0 in nrm.tolist():
+                    # Embed iterates one vector, which has no mode to name.
+                    what = f"update for mode {i + 1}" if len(rows) > 1 else "update vector"
                     for j in np.flatnonzero(nrm == 0).tolist():
-                        broken.setdefault(j, BreakdownError(
-                            f"update for mode {i + 1} vanished at iteration {k}"
-                        ))
+                        broken.setdefault(j, BreakdownError(f"{what} vanished at iteration {k}"))
                     nrm[nrm == 0] = 1.0
                 update /= nrm[:, None]
                 rows[i] = update
@@ -332,11 +358,12 @@ def _iterate(
             rows = [u / total for u in updates]
         lam, c0 = value(rows)
         lams = lam.tolist()
-        abs_lams = [abs(lam_j) for lam_j in lams]
+        abs_new = np.array([abs(lam_j) for lam_j in lams])
         # The safeguard: a start whose |lam| fell by more than rounding
         # doubles its c, as the monotone shifted iteration needs.
-        scales[np.array(abs_lams) < (1.0 - _DESCENT_TOL) * abs_prev] *= 2.0
-        step_errors = [abs(a - b) for a, b in zip(abs_lams, abs_prev.tolist())]
+        scales[abs_new < (1.0 - _DESCENT_TOL) * abs_lam] *= 2.0
+        step_errors = np.abs(abs_new - abs_lam).tolist()
+        abs_lam = abs_new
         # The displacement decides a stop only for a row whose step error is
         # below tol (about half the steps of a converging run), so it is
         # computed only when some row's is.
@@ -347,12 +374,13 @@ def _iterate(
             displacements = itertools.repeat(math.inf)
         leaving = []
         for j, (lam_j, step_error, disp_j) in enumerate(zip(lams, step_errors, displacements)):
-            trace = traces[live[j]]
             if j in broken:
                 results[live[j]] = broken[j]
                 leaving.append(j)
                 continue
-            trace.record(k, lam_j, step_error)
+            trace = traces[live[j]]
+            trace.lams.append(lam_j)
+            trace.step_errors.append(step_error)
             if record_iterates:
                 trace.iterates.append([X[j].copy() for X in rows])
             if step_error < tol and disp_j < disp_tol:
@@ -366,6 +394,7 @@ def _iterate(
                 return results
             rows = [X[keep] for X in rows]
             lam = lam[keep]
+            abs_lam = abs_lam[keep]
             scales = scales[keep]
             # An order-1 tensor's contraction reads no vector: one row for all.
             c0 = c0[keep] if len(c0) == len(keep) else c0
@@ -376,47 +405,71 @@ def _iterate(
     return results
 
 
-def _eigenpair(
-    A: ComplexTensor, cfg: SolverConfig, algorithm: str, vecs, lam: complex,
-    trace: IterationTrace,
-) -> UEigenpair:
-    """The eigenpair of A from a finished iteration, checked by residual.
+def _finish(
+    A: ComplexTensor, cfg: SolverConfig, algorithm: str, conj_data: np.ndarray,
+    outcomes: list,
+) -> list:
+    """The eigenpairs of A from finished iterations, checked by residual.
 
-    The iterate is rotated by a principal m-th root of |lam| / lam, embed's
-    one vector is split into A's m mode blocks, and the factors are the
-    vectors rescaled to unit norm. The eigenvalue is |lam| times
+    ``outcomes`` are ``_iterate``'s; its errors pass through. Every other
+    start is finished in one stacked pass, each row bitwise as alone: the
+    iterate is rotated by a principal m-th root of |lam| / lam, embed's one
+    vector is split into A's m mode blocks, and the factors are the vectors
+    rescaled to unit norm. A vector or block that vanished there raises
+    ``BreakdownError`` for its start. The eigenvalue is |lam| times
     (sqrt(m))^m / m! for embed, (sqrt(m))^m for joint and 1 for Gauss-Seidel.
     A converged trace whose residual exceeds 100 tol max(1, eigenvalue)
     stopped without an eigenpair and is marked "stalled". The residual scales
     with A, hence the factor max(1, eigenvalue).
     """
+    done = [j for j, outcome in enumerate(outcomes) if not isinstance(outcome, SolverError)]
+    if not done:
+        return outcomes
     m = A.order
-    phase = _principal_root(abs(lam) / lam, m)
+    vecs, lams, traces = zip(*(outcomes[j] for j in done))
+    phases = np.array([_principal_root(abs(lam) / lam, m) for lam in lams])[:, None]
+    rows = [phases * np.stack(col) for col in zip(*vecs)]
     if algorithm == "embed":
-        if trace.iterates is not None:
-            trace.iterates = [it for (it,) in trace.iterates]
-        vecs = np.split(vecs[0], np.cumsum(A.dims[:-1]))
+        rows = np.split(rows[0], np.cumsum(A.dims[:-1]), axis=1)
         scale = math.sqrt(m) ** m / math.factorial(m)
     else:
         scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
-    factors = RankOneFactors.per_vector([phase * v for v in vecs])
-    eigenvalue = scale * abs(lam)
-    res = _residual_vectors(A, eigenvalue, factors.vectors)
-    if trace.converged and res > 100 * cfg.tol * max(1.0, eigenvalue):
-        trace.status = "stalled"
-    return UEigenpair(eigenvalue, factors, res, trace)
+    broken = {}
+    factors = []
+    for i, X in enumerate(rows):
+        nrm = _row_norms(X)
+        if 0.0 in nrm.tolist():
+            what = "block" if algorithm == "embed" else "vector"
+            for j in np.flatnonzero(nrm == 0).tolist():
+                broken.setdefault(j, BreakdownError(f"final {what} for mode {i + 1} vanished"))
+            nrm[nrm == 0] = 1.0
+        factors.append(X / nrm[:, None])
+    eigenvalues = [scale * abs(lam) for lam in lams]
+    residuals = _residuals(conj_data, eigenvalues, factors)
+    results = list(outcomes)
+    for j, (eigenvalue, res, trace) in enumerate(zip(eigenvalues, residuals, traces)):
+        if j in broken:
+            results[done[j]] = broken[j]
+            continue
+        if algorithm == "embed" and trace.iterates is not None:
+            trace.iterates = [it for (it,) in trace.iterates]
+        if trace.converged and res > 100 * cfg.tol * max(1.0, eigenvalue):
+            trace.status = "stalled"
+        pair_factors = RankOneFactors(tuple(F[j] for F in factors))
+        results[done[j]] = UEigenpair(eigenvalue, pair_factors, res, trace)
+    return results
 
 
 def _solve_batch(
-    A: ComplexTensor, cfg: SolverConfig, algorithm: str,
-    starts: Sequence[list[np.ndarray]], record_iterates: bool = False,
+    A: ComplexTensor, cfg: SolverConfig, algorithm: str, rows: list[np.ndarray],
+    record_iterates: bool = False,
 ) -> list:
-    """Run ``algorithm`` from every start (vectors from ``_start_vectors``)
-    as one batch; per start, its eigenpair or the ``SolverError`` that
-    ended it."""
+    """Run ``algorithm`` from K starts, ``rows[i]`` holding their vector i
+    one per row, in chunks that keep the first contraction near 2 MB; per
+    start, its eigenpair or the ``SolverError`` that ended it."""
+    _check_starts(A, algorithm, rows)
     m = A.order
     conj_data = np.conj(A.data)
-    rows = [np.stack(vecs) for vecs in zip(*starts)]
     if algorithm == "embed":
         bounds = np.cumsum((0,) + A.dims).tolist()
         scale = math.factorial(m - 1)
@@ -441,16 +494,15 @@ def _solve_batch(
     # At an eigenpair joint's update term is m |lam|^2 x, embed's |lam|^2 x;
     # the Gauss-Seidel sweep ascends unshifted.
     power = {"joint": m, "embed": 1, "gauss_seidel": 0}[algorithm]
-    outcomes = _iterate(
-        value, partial(_contract_excluding, conj_data), rows, cfg.alpha,
-        power, cfg.tol, disp_tol, cfg.max_iter,
-        record_iterates, gauss_seidel=algorithm != "joint",
-    )
-    return [
-        outcome if isinstance(outcome, SolverError)
-        else _eigenpair(A, cfg, algorithm, *outcome)
-        for outcome in outcomes
-    ]
+    chunk = max(1, _CHUNK_ENTRIES // math.prod(A.dims[:-1]))
+    outcomes = []
+    for first in range(0, len(rows[0]), chunk):
+        outcomes += _finish(A, cfg, algorithm, conj_data, _iterate(
+            value, partial(_contract_excluding, conj_data),
+            [X[first:first + chunk] for X in rows], cfg.alpha, power, cfg.tol,
+            disp_tol, cfg.max_iter, record_iterates, gauss_seidel=algorithm != "joint",
+        ))
+    return outcomes
 
 
 def _solve_one(
@@ -459,7 +511,7 @@ def _solve_one(
 ) -> UEigenpair:
     """``algorithm`` from one start: the batch of one, its error raised."""
     (outcome,) = _solve_batch(
-        A, cfg, algorithm, [_start_vectors(A, algorithm, start)], record_iterates
+        A, cfg, algorithm, _start_rows(A, algorithm, start), record_iterates
     )
     if isinstance(outcome, SolverError):
         raise outcome
@@ -510,23 +562,41 @@ def solve_gauss_seidel(
     return _solve_one(A, cfg, "gauss_seidel", start, record_iterates)
 
 
+def _random_rows(
+    rngs: Sequence[np.random.Generator], dims: Sequence[int], algorithm: str
+) -> list[np.ndarray]:
+    """One ``random_start`` per generator, as a (K, n_i) array per vector
+    with one start per row: the same draws and, per row, the same
+    normalization, bitwise."""
+    sizes = [int(sum(dims))] if algorithm == "embed" else [int(d) for d in dims]
+    re = [np.empty((len(rngs), n)) for n in sizes]
+    im = [np.empty((len(rngs), n)) for n in sizes]
+    for j, rng in enumerate(rngs):
+        for R, I in zip(re, im):
+            rng.standard_normal(out=R[j])
+            rng.standard_normal(out=I[j])
+    rows = [R + 1j * I for R, I in zip(re, im)]
+    if algorithm == "joint":
+        # RankOneFactors.joint's total: a sum of per-vector vdots.
+        totals = np.sqrt([
+            sum(float(np.real(np.vdot(v, v))) for v in vecs) for vecs in zip(*rows)
+        ])
+        return [X / totals[:, None] for X in rows]
+    return [X / _row_norms(X)[:, None] for X in rows]
+
+
 def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):
     """Draw a starting point in the normalization the algorithm expects.
 
     Every component has independent standard-normal real and imaginary
-    parts (real parts drawn first); the result is normalized to unit norm
-    for ``embed``, jointly for ``joint``, per vector for ``gauss_seidel``.
+    parts (real parts first, mode by mode); the result is normalized to unit
+    norm for ``embed``, jointly for ``joint``, per vector for
+    ``gauss_seidel``. ``multi_start`` draws its starts as a batch of these.
     """
-    if algorithm == "embed":
-        n = int(sum(dims))
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return z / np.linalg.norm(z)
-    draws = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
-    if algorithm == "joint":
-        return RankOneFactors.joint(draws)
-    if algorithm == "gauss_seidel":
-        return RankOneFactors.per_vector(draws)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    vecs = [X[0] for X in _random_rows([rng], dims, algorithm)]
+    return vecs[0] if algorithm == "embed" else RankOneFactors(tuple(vecs))
 
 
 @dataclass(frozen=True)
@@ -558,24 +628,20 @@ def solve(A: ComplexTensor, cfg: SolverConfig, start, **kwargs) -> UEigenpair:
 def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     """Run the configured solver from ``cfg.starts`` seeded random starts.
 
-    Per-start generators are spawned from SeedSequence(cfg.seed). The starts
-    iterate together, in chunks that keep the first contraction of a chunk
-    near 2 MB; each start's result is bitwise the one it gets alone, whatever
-    the number of starts, the chunking or the other starts' failures. A
-    failed start is recorded and skipped; the sweep fails only if every start
-    fails. The best eigenpair is the one with the largest eigenvalue, first
-    occurrence winning ties.
+    Per-start generators are spawned from SeedSequence(cfg.seed), each
+    drawing what ``random_start`` draws. The starts are drawn, checked,
+    iterated and finished together, in chunks that keep the first
+    contraction of a chunk near 2 MB; each start's result is bitwise the one
+    it gets alone, whatever the number of starts, the chunking or the other
+    starts' failures. A failed start is recorded and skipped; the sweep fails
+    only if every start fails. The best eigenpair is the one with the largest
+    eigenvalue, first occurrence winning ties.
     """
-    starts = [
-        _start_vectors(A, cfg.algorithm, random_start(
-            np.random.default_rng(child), A.dims, cfg.algorithm
-        ))
+    rngs = [
+        np.random.default_rng(child)
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
     ]
-    chunk = max(1, _CHUNK_ENTRIES // math.prod(A.dims[:-1]))
-    outcomes = []
-    for first in range(0, cfg.starts, chunk):
-        outcomes += _solve_batch(A, cfg, cfg.algorithm, starts[first:first + chunk])
+    outcomes = _solve_batch(A, cfg, cfg.algorithm, _random_rows(rngs, A.dims, cfg.algorithm))
     runs = tuple(
         StartResult(index, None, str(outcome))
         if isinstance(outcome, SolverError) else StartResult(index, outcome, None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,42 @@ def reference_sampling_bound(T, samples, seed, batch):
             factors = [np.conj(c) / np.linalg.norm(c)] + drawn
             best = max(best, abs(overlap(T, factors)))
     return best
+
+
+def reference_eigenpair(T, algorithm, tol, iterate, lam, status):
+    """The solvers' finish rebuilt from its documentation, one start alone.
+
+    ``iterate`` is a run's final iterate (for embed one vector of length
+    sum(dims), else one vector per mode), ``lam`` its eigenvalue estimate and
+    ``status`` the status its iteration ended with. The iterate is rotated by
+    the principal m-th root of |lam| / lam, embed's vector is split into T's
+    mode blocks, and each vector is divided by its ``np.linalg.norm``. The
+    eigenvalue is |lam| times (sqrt m)^m / m! for embed, (sqrt m)^m for joint
+    and 1 for Gauss-Seidel; the residual is the largest norm over modes k of
+    contract_excluding(T, x, k) - eigenvalue conj(x_k), and a converged run
+    whose residual exceeds 100 tol max(1, eigenvalue) is "stalled".
+
+    Returns (eigenvalue, residual, factors, status).
+    """
+    m = T.order
+    phase = complex(abs(lam) / lam) ** (1.0 / m)
+    if algorithm == "embed":
+        iterate = np.split(iterate, np.cumsum(T.dims[:-1]))
+        scale = math.sqrt(m) ** m / math.factorial(m)
+    else:
+        scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
+    factors = []
+    for v in iterate:
+        w = phase * v
+        factors.append(w / np.linalg.norm(w))
+    eigenvalue = scale * abs(lam)
+    res = 0.0
+    for k in range(m):
+        dev = contract_excluding(T, factors, k + 1) - eigenvalue * np.conj(factors[k])
+        res = max(res, float(np.linalg.norm(dev)))
+    if status == "converged" and res > 100 * tol * max(1.0, eigenvalue):
+        status = "stalled"
+    return eigenvalue, res, factors, status
 
 
 def random_dims(rng, max_order=4, max_dim=4, min_order=2):

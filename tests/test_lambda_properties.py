@@ -1,6 +1,8 @@
 """Property tests of the largest eigenvalue lambda on small random tensors:
-it lies between the oracles' lower bounds and the flattening bound, and a
-global phase or a unitary on one mode leaves it unchanged.
+it lies between the oracles' lower bounds and the flattening bound; a global
+phase, a unitary on one mode or a permutation of the modes leaves it
+unchanged; a rank-one tensor's is the product of its factor norms; and the
+zero tensor has none, under every algorithm.
 
 Needs hypothesis; without it this module is skipped and the rest of the
 suite runs unchanged.
@@ -14,7 +16,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ueigen import ComplexTensor, SolverConfig, evaluate_oracles, multi_start  # noqa: E402
+from ueigen import (  # noqa: E402
+    ALGORITHMS,
+    ComplexTensor,
+    SolverConfig,
+    SolverError,
+    evaluate_oracles,
+    multi_start,
+    rank_one,
+    zeros,
+)
 from conftest import random_tensor  # noqa: E402
 
 _CFG = SolverConfig(algorithm="gauss_seidel", tol=1e-12, starts=10, seed=0)
@@ -61,3 +72,30 @@ def test_lambda_invariant_under_phase_and_local_unitary(dims, seed, mode, phase)
     lam = _lam(T)
     assert abs(_lam(ComplexTensor(np.exp(1j * phase) * T.data)) - lam) <= 1e-8
     assert abs(_lam(ComplexTensor(rotated)) - lam) <= 1e-8
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(dims=_DIMS, seed=_SEEDS)
+def test_lambda_invariant_under_mode_permutation(dims, seed):
+    rng = np.random.default_rng(seed)
+    T = random_tensor(rng, tuple(dims))
+    permuted = np.transpose(T.data, rng.permutation(len(dims)))
+    assert abs(_lam(ComplexTensor(permuted)) - _lam(T)) <= 1e-8
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(dims=_DIMS, seed=_SEEDS)
+def test_rank_one_lambda_is_the_product_of_norms(dims, seed):
+    rng = np.random.default_rng(seed)
+    vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+    expected = math.prod(float(np.linalg.norm(v)) for v in vecs)
+    assert _lam(rank_one(vecs)) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
+@hypothesis.given(dims=_DIMS)
+def test_zero_tensor_fails_every_start(algorithm, dims):
+    cfg = SolverConfig(algorithm=algorithm, starts=3)
+    with pytest.raises(SolverError, match="every start failed"):
+        multi_start(zeros(dims), cfg)

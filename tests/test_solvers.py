@@ -9,9 +9,11 @@ from ueigen import (
     ALGORITHMS,
     BreakdownError,
     ComplexTensor,
+    IterationTrace,
     RankOneFactors,
     SolverConfig,
     SolverError,
+    UEigenpair,
     ZeroEigenvalueError,
     catalog,
     multi_start,
@@ -27,8 +29,8 @@ from ueigen import (
     solve_joint,
     zeros,
 )
-from ueigen.solvers import _iterate, _residual_vectors
-from conftest import random_dims, random_tensor
+from ueigen.solvers import _finish, _iterate
+from conftest import random_dims, random_tensor, reference_eigenpair
 
 
 def bits(pair):
@@ -52,6 +54,11 @@ def solo_runs(A, cfg):
         except SolverError as exc:
             out.append(str(exc))
     return out
+
+
+def residual_at(A, lam, vecs):
+    """``residual`` of the pair (lam, vecs), whatever solved it."""
+    return residual(A, UEigenpair(lam, RankOneFactors(tuple(vecs)), 0.0, IterationTrace()))
 
 
 def unit_vectors(rng, dims):
@@ -169,7 +176,7 @@ class TestResidual:
         rng = np.random.default_rng(4)
         f = RankOneFactors.per_vector(unit_vectors(rng, (3, 2)))
         A = rank_one(f)
-        assert _residual_vectors(A, 1.0, f.vectors) <= 1e-14
+        assert residual_at(A, 1.0, f.vectors) <= 1e-14
 
     def test_perturbation_detected(self, ex41, ex41_solved):
         pair = ex41_solved.best
@@ -178,7 +185,7 @@ class TestResidual:
         bump[-1] = 1e-3
         v = vecs[0] + bump
         vecs[0] = v / np.linalg.norm(v)
-        assert _residual_vectors(ex41.tensor, pair.eigenvalue, vecs) > 1e-4
+        assert residual_at(ex41.tensor, pair.eigenvalue, vecs) > 1e-4
 
 
 class TestIterationInvariants:
@@ -443,23 +450,51 @@ class TestMultiStart:
     @pytest.mark.parametrize("gauss_seidel, message", [
         (True, "update for mode 1 vanished at iteration 1"),
         (False, "all update vectors vanished at iteration 1"),
+        # Embed iterates one vector, so its message names no mode.
+        (True, "update vector vanished at iteration 1"),
     ])
     def test_breakdown_leaves_only_its_row(self, gauss_seidel, message):
         # Row 1's update -x + x vanishes at the first step; the others stay
-        # fixed points and converge.
+        # fixed points and converge. A message that names a mode comes from a
+        # sweep over two copies of X as two modes.
         X = np.array([[1, 0], [0, 1], [0.6, 0.8j]])
+        modes = 2 if "mode" in message else 1
 
         def value(rows):
-            (x,) = rows
+            x = rows[0]
             return np.ones(len(x), dtype=complex), -np.conj(x) * (x[:, :1] == 0)
 
-        results = _iterate(value, None, [X], 1.0, 1, 1e-9, 1e-9, 10, False, gauss_seidel)
+        def contract(rows, i):
+            return np.zeros_like(rows[i])
+
+        results = _iterate(value, contract, [X] * modes, 1.0, 1, 1e-9, 1e-9, 10, False,
+                           gauss_seidel)
         assert isinstance(results[1], BreakdownError)
         assert str(results[1]) == message
         for row in (0, 2):
-            (vec,), lam, trace = results[row]
-            assert np.array_equal(vec, X[row]) and lam == 1
+            vecs, lam, trace = results[row]
+            assert all(np.array_equal(vec, X[row]) for vec in vecs) and lam == 1
             assert trace.status == "converged" and trace.iterations == 1
+
+    @pytest.mark.parametrize("algorithm, message", [
+        ("joint", "final vector for mode 2 vanished"),
+        ("embed", "final block for mode 2 vanished"),
+    ])
+    def test_finish_turns_a_zero_block_into_a_breakdown(self, ex41, algorithm, message):
+        # Start 0's mode-2 vector vanished (underflowed, say) while its lambda
+        # did not; start 1 finishes as usual. Neither raises ValueError.
+        e0, e1 = np.eye(2, dtype=complex)
+        good = [e0, e1, e0]
+        vecs = [[e0, 0 * e0, e0], good]
+        if algorithm == "embed":
+            vecs = [[np.concatenate(v)] for v in vecs]
+        cfg = SolverConfig(algorithm=algorithm)
+        outcomes = [(v, 0.5 + 0j, IterationTrace([0.5 + 0j], [None])) for v in vecs]
+        conj_data = np.conj(ex41.tensor.data)
+        results = _finish(ex41.tensor, cfg, algorithm, conj_data, outcomes)
+        assert isinstance(results[0], BreakdownError)
+        assert str(results[0]) == message
+        assert all(np.array_equal(f, g) for f, g in zip(results[1].factors.vectors, good))
 
     @pytest.mark.parametrize("algorithm", ["gauss_seidel", "joint"])
     def test_batched_starts_are_chunked(self, algorithm):
@@ -483,6 +518,27 @@ class TestMultiStart:
         assert sum(n * n for n in f.norms()) == pytest.approx(1.0, abs=1e-12)
         f = random_start(rng, (2, 3), "gauss_seidel")
         assert all(abs(n - 1) <= 1e-12 for n in f.norms())
+
+
+@pytest.mark.parametrize("fixture", ["example_4_1", "example_4_2", "trig_5", "example_4_7"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_finish_matches_the_reference(fixture, algorithm):
+    # Every start of the batched finish is bitwise the documented finish of
+    # that start alone, applied to its final iterate.
+    built = catalog.build(fixture)
+    A = getattr(built, "tensor", built)
+    cfg = SolverConfig(algorithm=algorithm, starts=10, seed=0)
+    result = multi_start(A, cfg)
+    for run, child in zip(result.runs, np.random.SeedSequence(cfg.seed).spawn(cfg.starts)):
+        start = random_start(np.random.default_rng(child), A.dims, algorithm)
+        trace = solve(A, cfg, start, record_iterates=True).trace
+        ended = "converged" if trace.status == "stalled" else trace.status
+        eigenvalue, res, factors, status = reference_eigenpair(
+            A, algorithm, cfg.tol, trace.iterates[-1], trace.lams[-1], ended
+        )
+        assert bits(run.pair)[:4] == (
+            repr(eigenvalue), repr(res), [f.tobytes() for f in factors], status
+        )
 
 
 # Per-start iteration counts of the seed-0, 10-start, tol-1e-9 runs. Any
