@@ -411,13 +411,15 @@ def _finish(
 ) -> list:
     """The eigenpairs of A from finished iterations, checked by residual.
 
-    ``outcomes`` are ``_iterate``'s; its errors pass through. Every other
-    start is finished in one stacked pass, each row bitwise as alone: the
-    iterate is rotated by a principal m-th root of |lam| / lam, embed's one
-    vector is split into A's m mode blocks, and the factors are the vectors
-    rescaled to unit norm. A vector or block that vanished there raises
-    ``BreakdownError`` for its start. The eigenvalue is |lam| times
-    (sqrt(m))^m / m! for embed, (sqrt(m))^m for joint and 1 for Gauss-Seidel.
+    ``outcomes`` are ``_iterate``'s; its errors pass through. A start whose
+    final eigenvalue or iterate is not finite (the iteration overflowed)
+    becomes a ``SolverError``. Every other start is finished in one stacked
+    pass, each row bitwise as alone: the iterate is rotated by a principal
+    m-th root of |lam| / lam, embed's one vector is split into A's m mode
+    blocks, and the factors are the vectors rescaled to unit norm. A vector
+    or block that vanished there raises ``BreakdownError`` for its start.
+    The eigenvalue is |lam| times (sqrt(m))^m / m! for embed, (sqrt(m))^m
+    for joint and 1 for Gauss-Seidel.
     A converged trace whose residual exceeds 100 tol max(1, eigenvalue)
     stopped without an eigenpair and is marked "stalled". The residual scales
     with A, hence the factor max(1, eigenvalue).
@@ -425,10 +427,21 @@ def _finish(
     done = [j for j, outcome in enumerate(outcomes) if not isinstance(outcome, SolverError)]
     if not done:
         return outcomes
-    m = A.order
     vecs, lams, traces = zip(*(outcomes[j] for j in done))
+    rows = [np.stack(col) for col in zip(*vecs)]
+    finite = np.isfinite(lams) & np.logical_and.reduce([np.isfinite(X).all(axis=1) for X in rows])
+    if not finite.all():
+        # The iteration overflowed: a numerical failure of the start, not an
+        # input error. The other starts finish without it.
+        results = list(outcomes)
+        for j in np.flatnonzero(~finite).tolist():
+            results[done[j]] = SolverError(
+                "the iteration overflowed: its final eigenvalue or iterate is not finite"
+            )
+        return _finish(A, cfg, algorithm, conj_data, results)
+    m = A.order
     phases = np.array([_principal_root(abs(lam) / lam, m) for lam in lams])[:, None]
-    rows = [phases * np.stack(col) for col in zip(*vecs)]
+    rows = [phases * X for X in rows]
     if algorithm == "embed":
         rows = np.split(rows[0], np.cumsum(A.dims[:-1]), axis=1)
         scale = math.sqrt(m) ** m / math.factorial(m)

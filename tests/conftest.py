@@ -14,28 +14,51 @@ def random_tensor(rng, dims):
 
 
 def reference_sampling_bound(T, samples, seed, batch):
-    """``sampling_oracle`` rebuilt from its documented draws, one product
-    state per sample.
+    """``sampling_oracle`` rebuilt from its documented draws, one explicit
+    product state per sample.
 
     Each batch of ``batch`` samples has its own child of ``SeedSequence(seed)``
-    and draws, per mode 2..m, real then imaginary normals of shape
-    (count, d), normalized by row. Each sample's mode-1 factor is the one
-    that attains the bound, conj(c) / ||c|| with c the contraction over the
-    drawn modes, and the value is the overlap modulus of that product state.
+    and draws, per drawn mode in increasing order, real then imaginary
+    normals of shape (count, d), each sample's factor then scaled to unit
+    norm. Mode 1 is never drawn. When the order is >= 2 and some mode has
+    dim 2, mode q is not drawn either: the largest mode after mode 1 (first
+    on ties) when mode 1 has dim 2, else the first mode of dim 2. The
+    contraction over the drawn modes, with the qubit mode's factor set to
+    each basis vector in turn, gives the 2 x n matrix M; the undrawn factors
+    are the conjugated top singular pair of M from ``np.linalg.svd``. With
+    mode 1 alone undrawn, its factor is conj(c) / ||c|| for c the
+    contraction over the drawn modes. The value is the overlap modulus of
+    that product state.
     """
+    m, dims = T.order, T.dims
+    pair = None
+    if m >= 2 and 2 in dims:
+        pair = (0, 1 + int(np.argmax(dims[1:]))) if dims[0] == 2 else (dims.index(2), 0)
+    drawn = [k for k in range(1, m) if pair is None or k not in pair]
     children = np.random.SeedSequence(seed).spawn(-(-samples // batch))
     best = 0.0
     for b, child in enumerate(children):
         rng = np.random.default_rng(child)
         count = min(batch, samples - b * batch)
         mats = []
-        for d in T.dims[1:]:
-            z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        for k in drawn:
+            z = rng.standard_normal((count, dims[k])) + 1j * rng.standard_normal((count, dims[k]))
             mats.append(z / np.linalg.norm(z, axis=1, keepdims=True))
         for s in range(count):
-            drawn = [z[s] for z in mats]
-            c = contract_excluding(T, [None] + drawn, 1)
-            factors = [np.conj(c) / np.linalg.norm(c)] + drawn
+            factors = [None] * m
+            for k, z in zip(drawn, mats):
+                factors[k] = z[s]
+            if pair is None:
+                c = contract_excluding(T, factors, 1)
+                factors[0] = np.conj(c) / np.linalg.norm(c)
+            else:
+                qubit, other = pair
+                M = np.array([
+                    contract_excluding(T, factors[:qubit] + [e] + factors[qubit + 1:], other + 1)
+                    for e in np.eye(2)
+                ])
+                U, _, Vh = np.linalg.svd(M)
+                factors[qubit], factors[other] = np.conj(U[:, 0]), np.conj(Vh[0])
             best = max(best, abs(overlap(T, factors)))
     return best
 

@@ -116,6 +116,22 @@ class TestSamplingOracle:
         bound = sampling_oracle(A, samples=10_000, seed=0)
         assert 0.95 * sigma_1 <= bound <= sigma_1 + 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 5), (4, 2), (2, 2)])
+    def test_matrix_with_a_qubit_mode_is_sigma_1(self, dims):
+        # Both modes are solved, so nothing is drawn and the bound is exact.
+        A = random_tensor(np.random.default_rng(9), dims)
+        assert abs(sampling_oracle(A, samples=3, seed=0) - svd_oracle(A)) <= 1e-12
+
+    @pytest.mark.parametrize("catalog_id", ["example_4_1", "example_4_2", "trig_2"])
+    def test_bound_ratio_with_a_qubit_mode(self, catalog_id):
+        # Solving a qubit mode beside mode 1 reaches 1.0000, 0.9975 and
+        # 1.0000 here; solving mode 1 alone reached 0.9955, 0.954 and 0.9927.
+        T = catalog.build(catalog_id).tensor
+        cfg = SolverConfig(algorithm="gauss_seidel", starts=10, seed=0)
+        lam = multi_start(T, cfg).best.eigenvalue
+        bound = sampling_oracle(T, samples=10_000, seed=0)
+        assert 0.99 * lam <= bound <= lam + 1e-9
+
     @pytest.mark.parametrize(
         "build, ratio",
         [

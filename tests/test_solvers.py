@@ -496,6 +496,35 @@ class TestMultiStart:
         assert str(results[0]) == message
         assert all(np.array_equal(f, g) for f, g in zip(results[1].factors.vectors, good))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_overflow_is_a_numerical_failure(self, algorithm):
+        # Entries of 1e200 overflow the first update, and the iteration runs
+        # on in NaN: each start fails as a SolverError, not as the ValueError
+        # of an input.
+        A = ComplexTensor(1e200 * np.ones((2, 2, 2)))
+        cfg = SolverConfig(algorithm=algorithm, starts=2, max_iter=20)
+        with pytest.warns(RuntimeWarning), pytest.raises(SolverError) as info:
+            multi_start(A, cfg)
+        assert str(info.value).count("the iteration overflowed") == 2
+
+    @pytest.mark.parametrize("bad", [complex("nan+nanj"), complex("inf")])
+    def test_finish_turns_a_non_finite_start_into_a_failure(self, ex41, bad):
+        # Start 0 ended not finite; start 1 finishes bitwise as it does
+        # alone, and nothing warns on the way.
+        e0, e1 = np.eye(2, dtype=complex)
+        good = [e0, e1, e0]
+        outcomes = [
+            ([e0, np.array([0, bad]), e0], bad, IterationTrace([bad], [None])),
+            (good, 0.5 + 0j, IterationTrace([0.5 + 0j], [None])),
+        ]
+        cfg = SolverConfig(algorithm="gauss_seidel")
+        conj_data = np.conj(ex41.tensor.data)
+        results = _finish(ex41.tensor, cfg, "gauss_seidel", conj_data, outcomes)
+        (alone,) = _finish(ex41.tensor, cfg, "gauss_seidel", conj_data, outcomes[1:])
+        assert type(results[0]) is SolverError
+        assert "overflowed" in str(results[0])
+        assert bits(results[1]) == bits(alone)
+
     @pytest.mark.parametrize("algorithm", ["gauss_seidel", "joint"])
     def test_batched_starts_are_chunked(self, algorithm):
         # 2^16 entries: chunks of four starts peak at 4.1 MB, one start at a
