@@ -45,8 +45,8 @@ def _add_solver_args(parser: argparse.ArgumentParser):
     parser.add_argument("--algo", default=default_algo, choices=sorted(_ALGO_FLAGS))
     parser.add_argument(
         "--alpha", type=float, default=_DEFAULTS.alpha,
-        help="positive initial shift scale c: the shift is c*p*|lambda|^2 "
-        "(p = order for joint, 1 for embed), and a start doubles its c "
+        help="positive initial shift scale c: the shift is c*m*|lambda|^2 "
+        "for joint and embed (m the order), and a start doubles its c "
         "whenever |lambda| falls; Gauss-Seidel takes no shift",
     )
     parser.add_argument("--tol", type=float, default=_DEFAULTS.tol)

@@ -10,53 +10,56 @@ contraction) + alpha_k * x, then renormalize. One switch picks Jacobi order
 with joint rescaling (squared norms summing to one) or Gauss-Seidel order
 with per-vector normalization (later updates of a sweep read earlier ones):
 
-* ``embed``        -- one vector on the symmetric embedding S of A (the two
-                      orders coincide; S's gradient is read blockwise from
-                      A), split back into A's m mode blocks at the end;
+* ``embed``        -- one vector on the symmetric embedding S of A;
 * ``joint``        -- the m mode vectors of A in Jacobi order;
 * ``gauss_seidel`` -- the m mode vectors of A in Gauss-Seidel order.
 
-The shift is scale-free: alpha_k = c * p * |lambda_{k-1}|^2, with p = m for
-joint, p = 1 for embed and p = 0 for Gauss-Seidel. At an eigenpair the
-update term is |lambda|^2 x for embed and m |lambda|^2 x for joint, so c is
-the shift relative to it, whatever the scale or order of A. Each start keeps
-its own c, starting at ``SolverConfig.alpha``, and doubles it whenever
-|lambda| falls by more than a relative 1e-8 in one step: the shifted
-iteration ascends monotonically once the shift is large enough (SS-HOPM and
-its adaptive-shift form GEAP, Kolda & Mayo 2011 and 2014), and a start whose
-c is too small can otherwise cycle. Embed's shift c |lambda_S|^2 is joint's
-times m!(m-1)!, the factor between their update terms, so embed and joint
-produce identical iterates. Gauss-Seidel takes no shift: each of its mode
-updates maximizes |lambda| over that mode with the others fixed (an
-alternating least-squares step), so it ascends unshifted, and any shift only
-slows it. All three finish alike, in ``_finish``, and are checked by the
-same residual rule below.
+Embed is joint in other coordinates: its unit vector, split into A's m
+mode blocks, is a jointly normalized start, lambda_S = m! lambda, and its
+shifted update is m!(m-1)! times joint's. So embed runs joint's loop on its
+blocks, with its stop rule and trace in S's units (below).
+
+The shift is scale-free: alpha_k = c * m * |lambda_{k-1}|^2 for joint and
+embed, relative to the update term m |lambda|^2 x at an eigenpair. Each
+start keeps its own c, starting at ``SolverConfig.alpha``, and doubles it
+whenever |lambda| falls by more than a relative 1e-8 in one step: the
+shifted iteration ascends monotonically once the shift is large enough
+(SS-HOPM and its adaptive-shift form GEAP, Kolda & Mayo 2011 and 2014), and
+a start whose c is too small can otherwise cycle. Gauss-Seidel takes no
+shift: each mode update maximizes |lambda| over that mode with the others
+fixed, so it ascends unshifted, and any shift only slows it. The loop runs
+on conj(A) 2^-e, e the binary exponent of max |A|, so that no update
+underflows or overflows whatever the scale of A; ``_finish`` multiplies
+lambda, the step errors, the eigenvalue and the residual back by 2^e, which
+is exact. All three finish alike there, checked by one residual rule below.
 
 A run is a batch of K starts from end to end. The starts are drawn (each
 from its own generator, as ``random_start`` draws them), stacked per mode
 and checked as one batch. In the loop each mode's iterate is a (K, n_i)
 array and lambda a length-K array, so one pass advances every live start,
 and a start leaves the batch when it converges, breaks down, reaches a zero
-eigenvalue (where the shift vanishes too) or reaches ``max_iter``. The
-finished starts are phase-corrected, normalized and checked by residual in
-one stacked pass. Every batched step (the stacked contraction, the row dots
-and norms, the shift) makes, per row, the same BLAS call and arithmetic as a
-lone start, so each start's result is bitwise what it is alone, whatever K.
-``solve`` and the single-start solvers are the batch of one, through the
-same start check and finish; ``multi_start`` runs its starts in chunks that
-keep the first contraction near 2 MB. Each start's trace keeps lambda and
-the step error as two columns; ``IterationTrace.steps`` is derived from them.
+eigenvalue (where the shift vanishes too) or a NaN one (an overflow), or
+reaches ``max_iter``. The finished starts are phase-corrected, normalized
+and checked by residual in one stacked pass. Every batched step (the
+stacked contraction, the row dots and norms, the shift) makes, per row, the
+same BLAS call and arithmetic as a lone start, so each start's result is
+bitwise what it is alone, whatever K. ``solve`` and the single-start
+solvers are the batch of one, through the same start check and finish;
+``multi_start`` runs its starts in chunks that keep the first contraction
+near 2 MB. Each start's trace keeps lambda and the step error as two
+columns; ``IterationTrace.steps`` is derived from them.
 
 Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` *and* every vector
 moved by less than ``tol`` (``tol / m`` for embed and joint) since the
-previous iteration. The displacement condition is needed because the
-eigenvalue estimate is stationary in the iterates: its increments fall
-below tol while the eigenvector error is still near sqrt(tol), which would
-leave residuals orders of magnitude above the eigenvalue accuracy. Both
-halves can still pass far from an eigenpair when the iterate barely moves
-(a large c damps every step), so a stop whose verified residual
-exceeds 100 tol max(1, lam) has status ``"stalled"``.
+previous iteration; embed's lambda is lambda_S, and its one vector moves by
+the root sum of squares of its block moves. The displacement condition is
+needed because the eigenvalue estimate is stationary in the iterates: its
+increments fall below tol while the eigenvector error is still near
+sqrt(tol), which would leave residuals orders of magnitude above the
+eigenvalue accuracy. Both halves can still pass far from an eigenpair when
+the iterate barely moves (a large c damps every step), so a stop whose
+verified residual exceeds 100 tol max(1, lam) has status ``"stalled"``.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,9 +126,9 @@ class SolverConfig:
     """Settings shared by all algorithms.
 
     ``alpha`` is the initial shift scale c of every start: the shift at step
-    k is c * p * |lambda_{k-1}|^2 (p = m for joint, 1 for embed, 0 for
-    Gauss-Seidel), and a start doubles its c whenever |lambda| falls (see
-    the module docstring).
+    k is c * m * |lambda_{k-1}|^2 for joint and embed (Gauss-Seidel takes
+    none), and a start doubles its c whenever |lambda| falls (see the module
+    docstring).
     """
 
     algorithm: str = "gauss_seidel"
@@ -276,34 +278,34 @@ def _row_norms(U: np.ndarray) -> np.ndarray:
 
 
 def _iterate(
-    value: Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]],
-    contract: Callable[[list[np.ndarray], int], np.ndarray],
+    conj_data: np.ndarray,
     rows: list[np.ndarray],
+    algorithm: str,
     scale: float,
-    power: int,
     tol: float,
     disp_tol: float,
     max_iter: int,
     record_iterates: bool,
-    gauss_seidel: bool,
 ) -> list:
     """The shifted power iteration of the module docstring, on K starts.
 
-    ``rows[i]`` holds the mode-i vectors of the starts, one per row.
-    ``value(rows)`` returns the eigenvalue estimates of the rows and the
-    contraction they were read from, the one that updates mode 0 next;
-    ``contract(rows, i)`` is the contraction that updates mode i >= 1.
-    Each start's shift is c * ``power`` * |lam|^2, its c starting at
-    ``scale`` and doubling whenever |lam| falls. Every row is computed as it
-    would be alone. A start leaves the batch when it converges, breaks down,
-    reaches a zero eigenvalue or reaches ``max_iter``.
+    ``rows[i]`` holds the mode-i vectors of the starts, one per row (embed's
+    blocks for embed), and ``conj_data`` is the conjugated tensor they are
+    contracted with. Joint and embed update in Jacobi order with the shift
+    c * m * |lam|^2, c starting at ``scale`` and doubling whenever |lam|
+    falls; Gauss-Seidel sweeps the modes unshifted. A start stops once its
+    step error is below ``tol`` and its largest vector move below
+    ``disp_tol``; embed's blocks move as one vector. Every row is computed
+    as it would be alone. A start leaves the batch when it converges, breaks
+    down, reaches a zero or NaN eigenvalue or reaches ``max_iter``.
 
     Returns, per start, its final vectors, eigenvalue estimate and trace,
     or the ``SolverError`` that ended it.
     """
     live = list(range(len(rows[0])))  # the start of each row
     results: list = [None] * len(live)
-    lam, c0 = value(rows)
+    c0 = _contract_excluding(conj_data, rows, 0)
+    lam = _dot_rows(rows[0], c0)
     traces = [IterationTrace([lam_j], [None]) for lam_j in lam.tolist()]
     if record_iterates:
         for j, trace in enumerate(traces):
@@ -320,31 +322,26 @@ def _iterate(
 
     for k in range(1, max_iter + 1):
         # Rows that cannot update: at a zero eigenvalue the shift is zero
-        # too, and an update can vanish. They are zeroed so they cannot
-        # disturb the rest of the step, and removed with the error they
-        # raise alone.
-        broken = {j: finish(j) for j in np.flatnonzero(lam == 0).tolist()}
-        # Gauss-Seidel (power 0) adds no shift term at all.
-        shift = (scales * power * abs_lam**2)[:, None] if power else None
+        # too, and after an overflow lambda is NaN. They are removed with
+        # the error they raise alone (``_finish`` reports the overflow).
+        broken = {j: finish(j) for j in np.nonzero(~(abs_lam > 0))[0].tolist()}
         lam_col = lam[:, None]
         previous = list(rows)
-        if gauss_seidel:
+        if algorithm == "gauss_seidel":
             for i in range(len(rows)):
-                update = lam_col * np.conj(c0 if i == 0 else contract(rows, i))
-                if power:
-                    update += shift * rows[i]
+                update = lam_col * np.conj(_contract_excluding(conj_data, rows, i) if i else c0)
                 nrm = _row_norms(update)
                 if 0.0 in nrm.tolist():
-                    # Embed iterates one vector, which has no mode to name.
-                    what = f"update for mode {i + 1}" if len(rows) > 1 else "update vector"
+                    what = f"update for mode {i + 1} vanished at iteration {k}"
                     for j in np.flatnonzero(nrm == 0).tolist():
-                        broken.setdefault(j, BreakdownError(f"{what} vanished at iteration {k}"))
+                        broken.setdefault(j, BreakdownError(what))
                     nrm[nrm == 0] = 1.0
                 update /= nrm[:, None]
                 rows[i] = update
         else:
+            shift = (scales * len(rows) * abs_lam**2)[:, None]
             updates = [
-                lam_col * np.conj(c0 if i == 0 else contract(rows, i)) + shift * X
+                lam_col * np.conj(_contract_excluding(conj_data, rows, i) if i else c0) + shift * X
                 for i, X in enumerate(rows)
             ]
             squares = [_dot_rows(np.conj(u), u).real.tolist() for u in updates]
@@ -356,7 +353,8 @@ def _iterate(
                 totals[j] = 1.0
             total = np.array(totals)[:, None]
             rows = [u / total for u in updates]
-        lam, c0 = value(rows)
+        c0 = _contract_excluding(conj_data, rows, 0)
+        lam = _dot_rows(rows[0], c0)
         lams = lam.tolist()
         abs_new = np.array([abs(lam_j) for lam_j in lams])
         # The safeguard: a start whose |lam| fell by more than rounding
@@ -368,8 +366,10 @@ def _iterate(
         # below tol (about half the steps of a converging run), so it is
         # computed only when some row's is.
         if min(step_errors) < tol:
-            moves = [_row_norms(X - P).tolist() for X, P in zip(rows, previous)]
-            displacements = map(max, zip(*moves))
+            moves = [X - P for X, P in zip(rows, previous)]
+            if algorithm == "embed":
+                moves = [np.concatenate(moves, axis=1)]
+            displacements = map(max, zip(*[_row_norms(M).tolist() for M in moves]))
         else:
             displacements = itertools.repeat(math.inf)
         leaving = []
@@ -407,19 +407,20 @@ def _iterate(
 
 def _finish(
     A: ComplexTensor, cfg: SolverConfig, algorithm: str, conj_data: np.ndarray,
-    outcomes: list,
+    outcomes: list, exponent: int = 0,
 ) -> list:
     """The eigenpairs of A from finished iterations, checked by residual.
 
-    ``outcomes`` are ``_iterate``'s; its errors pass through. A start whose
-    final eigenvalue or iterate is not finite (the iteration overflowed)
-    becomes a ``SolverError``. Every other start is finished in one stacked
-    pass, each row bitwise as alone: the iterate is rotated by a principal
-    m-th root of |lam| / lam, embed's one vector is split into A's m mode
-    blocks, and the factors are the vectors rescaled to unit norm. A vector
-    or block that vanished there raises ``BreakdownError`` for its start.
-    The eigenvalue is |lam| times (sqrt(m))^m / m! for embed, (sqrt(m))^m
-    for joint and 1 for Gauss-Seidel.
+    ``outcomes`` are ``_iterate``'s on ``conj_data`` = conj(A) 2^-exponent,
+    embed's as blocks; its errors pass through, and a start whose final
+    eigenvalue or iterate is not finite (an overflow) becomes a
+    ``SolverError``. The others' lambdas and traces go back to A's units
+    (lambda_S = m! lambda for embed, whose iterates are joined back into one
+    vector) and finish in one stacked pass, each row bitwise as alone: the
+    iterate is rotated by a principal m-th root of |lam| / lam, and the
+    factors are its vectors rescaled to unit norm, one that vanished being a
+    ``BreakdownError``. The eigenvalue is |lam| times (sqrt(m))^m / m! for
+    embed, (sqrt(m))^m for joint and 1 for Gauss-Seidel.
     A converged trace whose residual exceeds 100 tol max(1, eigenvalue)
     stopped without an eigenpair and is marked "stalled". The residual scales
     with A, hence the factor max(1, eigenvalue).
@@ -428,8 +429,19 @@ def _finish(
     if not done:
         return outcomes
     vecs, lams, traces = zip(*(outcomes[j] for j in done))
+    m = A.order
+    if algorithm == "embed":
+        scale = math.sqrt(m) ** m / math.factorial(m)
+    else:
+        scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
+    gain = 2.0**exponent
+    unit = (math.factorial(m) if algorithm == "embed" else 1.0) * gain
+    if unit != 1.0:
+        lams = [unit * lam for lam in lams]
     rows = [np.stack(col) for col in zip(*vecs)]
-    finite = np.isfinite(lams) & np.logical_and.reduce([np.isfinite(X).all(axis=1) for X in rows])
+    finite = np.isfinite(scale * np.abs(lams)) & np.logical_and.reduce(
+        [np.isfinite(X).all(axis=1) for X in rows]
+    )
     if not finite.all():
         # The iteration overflowed: a numerical failure of the start, not an
         # input error. The other starts finish without it.
@@ -438,15 +450,13 @@ def _finish(
             results[done[j]] = SolverError(
                 "the iteration overflowed: its final eigenvalue or iterate is not finite"
             )
-        return _finish(A, cfg, algorithm, conj_data, results)
-    m = A.order
+        return _finish(A, cfg, algorithm, conj_data, results, exponent)
+    if unit != 1.0:
+        for trace in traces:
+            trace.lams = [unit * lam for lam in trace.lams]
+            trace.step_errors = [None] + [unit * e for e in trace.step_errors[1:]]
     phases = np.array([_principal_root(abs(lam) / lam, m) for lam in lams])[:, None]
     rows = [phases * X for X in rows]
-    if algorithm == "embed":
-        rows = np.split(rows[0], np.cumsum(A.dims[:-1]), axis=1)
-        scale = math.sqrt(m) ** m / math.factorial(m)
-    else:
-        scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
     broken = {}
     factors = []
     for i, X in enumerate(rows):
@@ -458,14 +468,15 @@ def _finish(
             nrm[nrm == 0] = 1.0
         factors.append(X / nrm[:, None])
     eigenvalues = [scale * abs(lam) for lam in lams]
-    residuals = _residuals(conj_data, eigenvalues, factors)
+    residuals = _residuals(conj_data, [e / gain for e in eigenvalues], factors)
     results = list(outcomes)
     for j, (eigenvalue, res, trace) in enumerate(zip(eigenvalues, residuals, traces)):
         if j in broken:
             results[done[j]] = broken[j]
             continue
+        res *= gain
         if algorithm == "embed" and trace.iterates is not None:
-            trace.iterates = [it for (it,) in trace.iterates]
+            trace.iterates = [np.concatenate(it) for it in trace.iterates]
         if trace.converged and res > 100 * cfg.tol * max(1.0, eigenvalue):
             trace.status = "stalled"
         pair_factors = RankOneFactors(tuple(F[j] for F in factors))
@@ -482,39 +493,26 @@ def _solve_batch(
     start, its eigenpair or the ``SolverError`` that ended it."""
     _check_starts(A, algorithm, rows)
     m = A.order
+    # Clipped so that 2^e and 2^-e are normal doubles for every finite tensor.
+    exponent = min(max(math.frexp(np.abs(A.data).max())[1], -1000), 1000)
     conj_data = np.conj(A.data)
+    if exponent:
+        np.ldexp(conj_data.view(float), -exponent, out=conj_data.view(float))
+    tol = cfg.tol * 2.0**-exponent
     if algorithm == "embed":
-        bounds = np.cumsum((0,) + A.dims).tolist()
-        scale = math.factorial(m - 1)
-
-        def value(rows):
-            # Block i of the gradient of S at x is (m-1)! times A contracted
-            # with the other blocks of x: one blockwise pass per step.
-            (x,) = rows
-            blocks = [x[:, a:b] for a, b in zip(bounds, bounds[1:])]
-            grad = scale * np.concatenate(
-                [_contract_excluding(conj_data, blocks, i) for i in range(m)], axis=1
-            )
-            return _dot_rows(grad, x), grad
-    else:
-
-        def value(rows):
-            c0 = _contract_excluding(conj_data, rows, 0)
-            return _dot_rows(rows[0], c0), c0
+        # Joint's loop on embed's blocks, stopping on |lam_S| = m! |lam|.
+        rows = np.split(rows[0], np.cumsum(A.dims[:-1]), axis=1)
+        tol /= math.factorial(m)
     # Embed and joint return their iterates rescaled by sqrt(m); settling
     # the iterates m times tighter keeps their accuracy at tol with margin.
     disp_tol = cfg.tol if algorithm == "gauss_seidel" else cfg.tol / m
-    # At an eigenpair joint's update term is m |lam|^2 x, embed's |lam|^2 x;
-    # the Gauss-Seidel sweep ascends unshifted.
-    power = {"joint": m, "embed": 1, "gauss_seidel": 0}[algorithm]
     chunk = max(1, _CHUNK_ENTRIES // math.prod(A.dims[:-1]))
     outcomes = []
     for first in range(0, len(rows[0]), chunk):
         outcomes += _finish(A, cfg, algorithm, conj_data, _iterate(
-            value, partial(_contract_excluding, conj_data),
-            [X[first:first + chunk] for X in rows], cfg.alpha, power, cfg.tol,
-            disp_tol, cfg.max_iter, record_iterates, gauss_seidel=algorithm != "joint",
-        ))
+            conj_data, [X[first:first + chunk] for X in rows], algorithm, cfg.alpha,
+            tol, disp_tol, cfg.max_iter, record_iterates,
+        ), exponent)
     return outcomes
 
 
@@ -539,10 +537,11 @@ def solve_embed(
 ) -> UEigenpair:
     """Power iteration on the symmetric embedding S of ``A``, read from A.
 
-    ``start`` is a unit vector of length sum(dims). S is never built: block i
-    of its gradient is (m-1)! times A contracted with the other blocks of x.
-    The eigenvalue of A is (sqrt(m))^m / m! * |lam|, its factors the blocks
-    of x rescaled to unit norm.
+    ``start`` is a unit vector of length sum(dims). S is never built: the
+    vector runs as its m mode blocks through joint's loop, which is the
+    same iteration (see the module docstring), and its trace reports
+    lambda_S = m! lambda. The eigenvalue of A is (sqrt(m))^m / m! * |lam_S|,
+    its factors the blocks of x rescaled to unit norm.
     """
     return _solve_one(A, cfg, "embed", start, record_iterates)
 

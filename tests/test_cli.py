@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from ueigen import (
@@ -172,15 +171,13 @@ class TestSolve:
         assert payload["status"] == "converged"
         assert payload["lambda"] == pytest.approx(1e3 * math.sqrt(2 / 3), rel=1e-12)
 
-    def test_overflowing_tensor_is_a_numerical_failure(self, capsys, tmp_path):
-        # Finite entries of 1e200 overflow the iteration: exit 4, not an
+    def test_overflowing_tensor_is_a_numerical_failure(self, capsys):
+        # A shift scale of 1e300 overflows the iteration: exit 4, not an
         # input error.
-        path = tmp_path / "overflow.json"
-        huge = ComplexTensor(1e200 * np.ones((2, 2, 2)))
-        path.write_text(json.dumps(tensor_to_json(huge)))
         with pytest.warns(RuntimeWarning):
             code, out, err = run(
-                capsys, "solve", "--file", str(path), "--starts", "2", "--max-iter", "20",
+                capsys, "solve", "--catalog", "example_4_1", "--algo", "joint",
+                "--alpha", "1e300", "--starts", "2",
             )
         assert code == 4
         assert out == ""

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -333,6 +334,35 @@ class TestScaleCovariance:
             # Embed and joint double c on this start; Gauss-Seidel has no shift.
             assert (pa.trace.shift_scale > cfg.alpha) == (algorithm != "gauss_seidel")
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_power_of_two_scale_is_exact(self, algorithm):
+        # The loop runs on A scaled to a largest entry in [1/2, 1), so A and
+        # 2^k A take bitwise the same steps, and every reported number
+        # scales exactly; without the scaling 2^-600 A breaks down and
+        # 2^600 A overflows. The tiny tol stops a run only at an exact
+        # fixed point, the same step for both (tol is absolute in lambda).
+        A = random_tensor(np.random.default_rng(12), (3, 2, 2))
+        cfg = SolverConfig(algorithm=algorithm, tol=1e-100, max_iter=200, starts=3, seed=4)
+        runs = multi_start(A, cfg).runs
+        for k in (-600, 7, 600):
+            s = 2.0**k
+            for a, b in zip(runs, multi_start(ComplexTensor(s * A.data), cfg).runs):
+                pa, pb = a.pair, b.pair
+                assert (repr(pb.eigenvalue), repr(pb.residual)) == (
+                    repr(s * pa.eigenvalue), repr(s * pa.residual)
+                )
+                assert bits(pb)[2] == bits(pa)[2]
+                assert [repr(x) for x in pb.trace.lams] == [repr(s * x) for x in pa.trace.lams]
+                assert pb.trace.step_errors[1:] == [s * x for x in pa.trace.step_errors[1:]]
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_extreme_scales_solve(self, algorithm, s):
+        A = ComplexTensor(s * catalog.build("example_4_2").tensor.data)
+        best = multi_start(A, SolverConfig(algorithm=algorithm, starts=3)).best
+        assert best.converged
+        assert best.eigenvalue / s == pytest.approx(math.sqrt(1 / 3), abs=1e-9)
+
 
 class TestShiftSafeguard:
     # A five-qubit Haar state under joint at c = 0.02. Without the doubling,
@@ -450,31 +480,37 @@ class TestMultiStart:
     @pytest.mark.parametrize("gauss_seidel, message", [
         (True, "update for mode 1 vanished at iteration 1"),
         (False, "all update vectors vanished at iteration 1"),
-        # Embed iterates one vector, so its message names no mode.
-        (True, "update vector vanished at iteration 1"),
     ])
     def test_breakdown_leaves_only_its_row(self, gauss_seidel, message):
-        # Row 1's update -x + x vanishes at the first step; the others stay
-        # fixed points and converge. A message that names a mode comes from a
-        # sweep over two copies of X as two modes.
-        X = np.array([[1, 0], [0, 1], [0.6, 0.8j]])
-        modes = 2 if "mode" in message else 1
-
-        def value(rows):
-            x = rows[0]
-            return np.ones(len(x), dtype=complex), -np.conj(x) * (x[:, :1] == 0)
-
-        def contract(rows, i):
-            return np.zeros_like(rows[i])
-
-        results = _iterate(value, contract, [X] * modes, 1.0, 1, 1e-9, 1e-9, 10, False,
-                           gauss_seidel)
+        # Row 1 starts at e2 x e2, where lambda = 1e-170, so its update
+        # (about 1e-340) underflows to zero at the first step. Rows 0 and 2
+        # start at the fixed points e1 x e1 and e3 x e3 and converge.
+        conj_data = np.diag([1.0, 1e-170, 0.5]).astype(complex)
+        algorithm = "gauss_seidel" if gauss_seidel else "joint"
+        X = np.eye(3, dtype=complex)
+        if not gauss_seidel:
+            X /= math.sqrt(2)
+        results = _iterate(conj_data, [X, X], algorithm, 1.0, 1e-9, 1e-9, 10, False)
         assert isinstance(results[1], BreakdownError)
         assert str(results[1]) == message
         for row in (0, 2):
             vecs, lam, trace = results[row]
-            assert all(np.array_equal(vec, X[row]) for vec in vecs) and lam == 1
+            assert all(np.allclose(vec, X[row], rtol=0, atol=1e-15) for vec in vecs)
             assert trace.status == "converged" and trace.iterations == 1
+
+    @pytest.mark.parametrize("algorithm", ["joint", "embed"])
+    def test_nan_start_leaves_the_batch(self, ex41, algorithm):
+        # At c = 1e300 the shift overflows the first update, lambda turns
+        # NaN, and the start leaves the batch instead of iterating to
+        # max_iter; ``_finish`` then reports the overflow.
+        A = ex41.tensor
+        start = random_start(np.random.default_rng(0), A.dims, "joint")
+        rows = [v[None] for v in start.vectors]
+        with pytest.warns(RuntimeWarning):
+            ((vecs, lam, trace),) = _iterate(
+                np.conj(A.data), rows, algorithm, 1e300, 1e-9, 1e-9, 5000, False
+            )
+        assert not cmath.isfinite(lam) and trace.iterations <= 2
 
     @pytest.mark.parametrize("algorithm, message", [
         ("joint", "final vector for mode 2 vanished"),
@@ -485,9 +521,7 @@ class TestMultiStart:
         # did not; start 1 finishes as usual. Neither raises ValueError.
         e0, e1 = np.eye(2, dtype=complex)
         good = [e0, e1, e0]
-        vecs = [[e0, 0 * e0, e0], good]
-        if algorithm == "embed":
-            vecs = [[np.concatenate(v)] for v in vecs]
+        vecs = [[e0, 0 * e0, e0], good]  # embed's too: _finish reads blocks
         cfg = SolverConfig(algorithm=algorithm)
         outcomes = [(v, 0.5 + 0j, IterationTrace([0.5 + 0j], [None])) for v in vecs]
         conj_data = np.conj(ex41.tensor.data)
@@ -496,15 +530,15 @@ class TestMultiStart:
         assert str(results[0]) == message
         assert all(np.array_equal(f, g) for f, g in zip(results[1].factors.vectors, good))
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_overflow_is_a_numerical_failure(self, algorithm):
-        # Entries of 1e200 overflow the first update, and the iteration runs
-        # on in NaN: each start fails as a SolverError, not as the ValueError
-        # of an input.
-        A = ComplexTensor(1e200 * np.ones((2, 2, 2)))
-        cfg = SolverConfig(algorithm=algorithm, starts=2, max_iter=20)
+    @pytest.mark.parametrize("algorithm", ["joint", "embed"])
+    def test_overflow_is_a_numerical_failure(self, ex41, algorithm):
+        # A shift scale of 1e300 overflows the first update: each start
+        # fails as a SolverError, not as the ValueError of an input.
+        # Gauss-Seidel takes no shift, and the loop runs on A scaled to a
+        # largest entry in [1/2, 1), so it cannot overflow.
+        cfg = SolverConfig(algorithm=algorithm, alpha=1e300, starts=2)
         with pytest.warns(RuntimeWarning), pytest.raises(SolverError) as info:
-            multi_start(A, cfg)
+            multi_start(ex41.tensor, cfg)
         assert str(info.value).count("the iteration overflowed") == 2
 
     @pytest.mark.parametrize("bad", [complex("nan+nanj"), complex("inf")])
