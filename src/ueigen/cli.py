@@ -276,11 +276,13 @@ def cmd_oracle(args) -> int:
     solver_lambda, seconds = record["lambda"], record["timing"]["seconds"]
     print(f"{label}: solver ({args.algo}) lambda = {solver_lambda:.6f}  [{seconds:.2f} s]")
     ok = True
-    for res in evaluate_oracles(tensor, samples=args.samples, seed=args.seed):
+    results = evaluate_oracles(tensor, samples=args.samples, seed=args.seed)
+    sigma = results[-1].lambda_upper_bound  # the scale: lambda(sA) = |s| lambda(A)
+    for res in results:
         lower, upper = res.lambda_lower_bound, res.lambda_upper_bound
-        consistent = lower - 1e-6 <= solver_lambda <= upper + 1e-6
+        consistent = lower - 1e-6 * sigma <= solver_lambda <= upper + 1e-6 * sigma
         ok = ok and consistent
-        certified = "certified  " if upper - lower <= 1e-12 else ""
+        certified = "certified  " if upper - lower <= 1e-12 * sigma else ""
         print(
             f"  {res.method:<10} [{lower:.6f}, {upper:.6f}]  "
             f"{certified}{'ok' if consistent else 'MISMATCH'}"

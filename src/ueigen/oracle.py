@@ -9,6 +9,10 @@ with no iteration, so each sample is the overlap of an explicit product
 state (for order 1, and order 2 with a mode of dim 2, nothing is drawn and
 the bound is exact); and the flattening interval reads lambda off the
 singular values of the tensor's matrix reshapings.
+
+All bounds hold at any finite scale of A: the sampling oracle runs on the
+solvers' conj(A) 2^-e (``tensor._scaled_conj``) and multiplies its bound
+back by 2^e, which is exact, and LAPACK's SVD scales its input itself.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CHUNK_ENTRIES, ComplexTensor, norm
+from .tensor import _CHUNK_ENTRIES, ComplexTensor, _scaled_conj
 
 __all__ = [
     "OracleResult",
@@ -75,7 +79,8 @@ def sampling_oracle(
     product state, so it can never exceed the true maximum, and solver
     results must dominate it. For order 1 nothing is drawn and the bound is
     ``||A||``; for order 2 with a mode of dim 2 nothing is drawn either and
-    the bound is sigma_1 of A. Both are exact. No iteration runs.
+    the bound is sigma_1 of A. Both are exact. No iteration runs. Where
+    anything is drawn, the bound of 2^k A is bitwise 2^k times A's.
 
     The draws come in batches of ``batch`` samples, each from its own child
     of ``SeedSequence(seed)``: per drawn mode, in increasing order, real then
@@ -92,15 +97,16 @@ def sampling_oracle(
         raise ValueError("samples must be >= 1")
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    conj_data, exponent = _scaled_conj(A)
     if A.order == 1:
-        return norm(A)
+        return float(np.linalg.norm(conj_data)) * 2.0**exponent
     undrawn = _undrawn_modes(A.dims)
     if len(undrawn) == A.order:
         return _flattening_interval(A)[1]
     drawn = [k for k in range(1, A.order) if k not in undrawn]
     axes = undrawn + drawn
     lead = math.prod(A.dims[k] for k in axes[:-1])
-    conj_t = np.conj(A.data).transpose(axes).reshape(lead, A.dims[axes[-1]]).T
+    conj_t = conj_data.transpose(axes).reshape(lead, A.dims[axes[-1]]).T
     qubit = len(undrawn) == 2
     chunk = max(1, _CHUNK_ENTRIES // lead)
     children = np.random.SeedSequence(seed).spawn(
@@ -123,7 +129,7 @@ def sampling_oracle(
             for z in reversed(mats[:-1]):
                 t = (t.reshape(len(t), -1, z.shape[1]) @ z[rows, :, None])[..., 0]
             best = max(best, float(np.max(_top_square(t, qubit) / norms2[rows])))
-    return math.sqrt(best)
+    return math.sqrt(best) * 2.0**exponent
 
 
 def _complex_normals(

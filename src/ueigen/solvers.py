@@ -28,10 +28,11 @@ shifted iteration ascends monotonically once the shift is large enough
 a start whose c is too small can otherwise cycle. Gauss-Seidel takes no
 shift: each mode update maximizes |lambda| over that mode with the others
 fixed, so it ascends unshifted, and any shift only slows it. The loop runs
-on conj(A) 2^-e, e the binary exponent of max |A|, so that no update
-underflows or overflows whatever the scale of A; ``_finish`` multiplies
-lambda, the step errors, the eigenvalue and the residual back by 2^e, which
-is exact. All three finish alike there, checked by one residual rule below.
+on conj(A) 2^-e (``tensor._scaled_conj``), so that no update underflows or
+overflows whatever the scale of A; ``_finish`` multiplies lambda, the step
+errors, the eigenvalue and the residual back by 2^e, which is exact, and
+``residual`` is its residual for one pair. All three finish alike there,
+checked by one residual rule below.
 
 A run is a batch of K starts from end to end. The starts are drawn (each
 from its own generator, as ``random_start`` draws them), stacked per mode
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,7 @@ from .tensor import (
     _check_factor_dims,
     _contract_excluding,
     _dot_rows,
+    _scaled_conj,
 )
 
 __all__ = [
@@ -213,11 +215,6 @@ class UEigenpair:
         return self.trace.converged
 
 
-def _principal_root(w: complex, m: int) -> complex:
-    """Principal m-th root: argument in (-pi/m, pi/m]."""
-    return complex(w) ** (1.0 / m)
-
-
 def _start_rows(A: ComplexTensor, algorithm: str, start) -> list[np.ndarray]:
     """The vectors of one ``solve`` start as a batch of one: a (1, n_i) row
     per vector, checked later by ``_check_starts`` like every other batch."""
@@ -264,9 +261,13 @@ def _residuals(conj_data: np.ndarray, eigenvalues, rows: list[np.ndarray]) -> li
 
 
 def residual(A: ComplexTensor, pair: UEigenpair) -> float:
-    """Max over modes of || contract_excluding(A, x, k) - lambda conj(x(k)) ||."""
+    """Max over modes of || contract_excluding(A, x, k) - lambda conj(x(k)) ||:
+    ``_finish``'s residual for one pair, on conj(A) 2^-e and scaled back, so
+    finite at any scale of A and bitwise a solver's ``pair.residual``."""
+    conj_data, exponent = _scaled_conj(A)
+    gain = 2.0**exponent
     rows = [v[None] for v in pair.factors.vectors]
-    return _residuals(np.conj(A.data), [pair.eigenvalue], rows)[0]
+    return _residuals(conj_data, [pair.eigenvalue / gain], rows)[0] * gain
 
 
 def _row_norms(U: np.ndarray) -> np.ndarray:
@@ -275,6 +276,17 @@ def _row_norms(U: np.ndarray) -> np.ndarray:
     differently)."""
     re, im = U.real, U.imag
     return np.sqrt(_dot_rows(re, re) + _dot_rows(im, im))
+
+
+def _vanished(nrm: np.ndarray, broken: dict, what: str, *args) -> np.ndarray:
+    """The row norms ``nrm`` as a column to divide by. A row whose norm is
+    zero gets 1 instead, and ``broken`` its ``BreakdownError(what.format(*args))``
+    unless it already holds an error for that row."""
+    if 0.0 in nrm.tolist():
+        for j in np.flatnonzero(nrm == 0).tolist():
+            broken.setdefault(j, BreakdownError(what.format(*args)))
+        nrm[nrm == 0] = 1.0
+    return nrm[:, None]
 
 
 def _iterate(
@@ -330,13 +342,8 @@ def _iterate(
         if algorithm == "gauss_seidel":
             for i in range(len(rows)):
                 update = lam_col * np.conj(_contract_excluding(conj_data, rows, i) if i else c0)
-                nrm = _row_norms(update)
-                if 0.0 in nrm.tolist():
-                    what = f"update for mode {i + 1} vanished at iteration {k}"
-                    for j in np.flatnonzero(nrm == 0).tolist():
-                        broken.setdefault(j, BreakdownError(what))
-                    nrm[nrm == 0] = 1.0
-                update /= nrm[:, None]
+                what = "update for mode {} vanished at iteration {}"
+                update /= _vanished(_row_norms(update), broken, what, i + 1, k)
                 rows[i] = update
         else:
             shift = (scales * len(rows) * abs_lam**2)[:, None]
@@ -345,13 +352,8 @@ def _iterate(
                 for i, X in enumerate(rows)
             ]
             squares = [_dot_rows(np.conj(u), u).real.tolist() for u in updates]
-            totals = [math.sqrt(sum(sq)) for sq in zip(*squares)]
-            for j in [j for j, t in enumerate(totals) if t == 0.0]:
-                broken.setdefault(
-                    j, BreakdownError(f"all update vectors vanished at iteration {k}")
-                )
-                totals[j] = 1.0
-            total = np.array(totals)[:, None]
+            totals = np.array([math.sqrt(sum(sq)) for sq in zip(*squares)])
+            total = _vanished(totals, broken, "all update vectors vanished at iteration {}", k)
             rows = [u / total for u in updates]
         c0 = _contract_excluding(conj_data, rows, 0)
         lam = _dot_rows(rows[0], c0)
@@ -406,14 +408,14 @@ def _iterate(
 
 
 def _finish(
-    A: ComplexTensor, cfg: SolverConfig, algorithm: str, conj_data: np.ndarray,
-    outcomes: list, exponent: int = 0,
+    A: ComplexTensor, cfg: SolverConfig, conj_data: np.ndarray, outcomes: list,
+    exponent: int = 0,
 ) -> list:
     """The eigenpairs of A from finished iterations, checked by residual.
 
     ``outcomes`` are ``_iterate``'s on ``conj_data`` = conj(A) 2^-exponent,
-    embed's as blocks; its errors pass through, and a start whose final
-    eigenvalue or iterate is not finite (an overflow) becomes a
+    embed's as blocks. One pass passes their errors through and turns a
+    start whose eigenvalue or iterate is not finite (an overflow) into a
     ``SolverError``. The others' lambdas and traces go back to A's units
     (lambda_S = m! lambda for embed, whose iterates are joined back into one
     vector) and finish in one stacked pass, each row bitwise as alone: the
@@ -425,105 +427,87 @@ def _finish(
     stopped without an eigenpair and is marked "stalled". The residual scales
     with A, hence the factor max(1, eigenvalue).
     """
-    done = [j for j, outcome in enumerate(outcomes) if not isinstance(outcome, SolverError)]
-    if not done:
-        return outcomes
-    vecs, lams, traces = zip(*(outcomes[j] for j in done))
-    m = A.order
-    if algorithm == "embed":
-        scale = math.sqrt(m) ** m / math.factorial(m)
-    else:
-        scale = math.sqrt(m) ** m if algorithm == "joint" else 1.0
+    m, embed = A.order, cfg.algorithm == "embed"
+    lift = math.factorial(m) if embed else 1  # lambda_S = m! lambda
+    scale = 1.0 if cfg.algorithm == "gauss_seidel" else math.sqrt(m) ** m / lift
     gain = 2.0**exponent
-    unit = (math.factorial(m) if algorithm == "embed" else 1.0) * gain
-    if unit != 1.0:
-        lams = [unit * lam for lam in lams]
-    rows = [np.stack(col) for col in zip(*vecs)]
-    finite = np.isfinite(scale * np.abs(lams)) & np.logical_and.reduce(
-        [np.isfinite(X).all(axis=1) for X in rows]
-    )
-    if not finite.all():
-        # The iteration overflowed: a numerical failure of the start, not an
-        # input error. The other starts finish without it.
-        results = list(outcomes)
-        for j in np.flatnonzero(~finite).tolist():
-            results[done[j]] = SolverError(
+    unit = lift * gain
+    results = list(outcomes)
+    done = []
+    for j, outcome in enumerate(outcomes):
+        if isinstance(outcome, SolverError):
+            continue
+        vecs, lam, trace = outcome
+        lam = unit * lam if unit != 1.0 else lam
+        if math.isfinite(scale * abs(lam)) and all(np.isfinite(v).all() for v in vecs):
+            done.append((j, vecs, lam, trace))
+        else:
+            # The iteration overflowed: a numerical failure of the start, not
+            # an input error. The other starts finish without it.
+            results[j] = SolverError(
                 "the iteration overflowed: its final eigenvalue or iterate is not finite"
             )
-        return _finish(A, cfg, algorithm, conj_data, results, exponent)
+    if not done:
+        return results
+    index, vecs, lams, traces = zip(*done)
     if unit != 1.0:
         for trace in traces:
             trace.lams = [unit * lam for lam in trace.lams]
             trace.step_errors = [None] + [unit * e for e in trace.step_errors[1:]]
-    phases = np.array([_principal_root(abs(lam) / lam, m) for lam in lams])[:, None]
-    rows = [phases * X for X in rows]
+    phases = np.array([complex(abs(lam) / lam) ** (1.0 / m) for lam in lams])[:, None]
+    rows = [phases * np.stack(col) for col in zip(*vecs)]
     broken = {}
-    factors = []
-    for i, X in enumerate(rows):
-        nrm = _row_norms(X)
-        if 0.0 in nrm.tolist():
-            what = "block" if algorithm == "embed" else "vector"
-            for j in np.flatnonzero(nrm == 0).tolist():
-                broken.setdefault(j, BreakdownError(f"final {what} for mode {i + 1} vanished"))
-            nrm[nrm == 0] = 1.0
-        factors.append(X / nrm[:, None])
+    what = "block" if embed else "vector"
+    factors = [
+        X / _vanished(_row_norms(X), broken, f"final {what} for mode {i + 1} vanished")
+        for i, X in enumerate(rows)
+    ]
     eigenvalues = [scale * abs(lam) for lam in lams]
     residuals = _residuals(conj_data, [e / gain for e in eigenvalues], factors)
-    results = list(outcomes)
-    for j, (eigenvalue, res, trace) in enumerate(zip(eigenvalues, residuals, traces)):
-        if j in broken:
-            results[done[j]] = broken[j]
+    for row, (j, eigenvalue, res, trace) in enumerate(zip(index, eigenvalues, residuals, traces)):
+        if row in broken:
+            results[j] = broken[row]
             continue
         res *= gain
-        if algorithm == "embed" and trace.iterates is not None:
+        if embed and trace.iterates is not None:
             trace.iterates = [np.concatenate(it) for it in trace.iterates]
         if trace.converged and res > 100 * cfg.tol * max(1.0, eigenvalue):
             trace.status = "stalled"
-        pair_factors = RankOneFactors(tuple(F[j] for F in factors))
-        results[done[j]] = UEigenpair(eigenvalue, pair_factors, res, trace)
+        pair_factors = RankOneFactors(tuple(F[row] for F in factors))
+        results[j] = UEigenpair(eigenvalue, pair_factors, res, trace)
     return results
 
 
 def _solve_batch(
-    A: ComplexTensor, cfg: SolverConfig, algorithm: str, rows: list[np.ndarray],
-    record_iterates: bool = False,
+    A: ComplexTensor, cfg: SolverConfig, rows: list[np.ndarray], record_iterates: bool = False,
 ) -> list:
-    """Run ``algorithm`` from K starts, ``rows[i]`` holding their vector i
-    one per row, in chunks that keep the first contraction near 2 MB; per
+    """Run ``cfg.algorithm`` from K starts, ``rows[i]`` holding their vector
+    i one per row, in chunks that keep the first contraction near 2 MB; per
     start, its eigenpair or the ``SolverError`` that ended it."""
-    _check_starts(A, algorithm, rows)
+    _check_starts(A, cfg.algorithm, rows)
     m = A.order
-    # Clipped so that 2^e and 2^-e are normal doubles for every finite tensor.
-    exponent = min(max(math.frexp(np.abs(A.data).max())[1], -1000), 1000)
-    conj_data = np.conj(A.data)
-    if exponent:
-        np.ldexp(conj_data.view(float), -exponent, out=conj_data.view(float))
+    conj_data, exponent = _scaled_conj(A)
     tol = cfg.tol * 2.0**-exponent
-    if algorithm == "embed":
+    if cfg.algorithm == "embed":
         # Joint's loop on embed's blocks, stopping on |lam_S| = m! |lam|.
         rows = np.split(rows[0], np.cumsum(A.dims[:-1]), axis=1)
         tol /= math.factorial(m)
     # Embed and joint return their iterates rescaled by sqrt(m); settling
     # the iterates m times tighter keeps their accuracy at tol with margin.
-    disp_tol = cfg.tol if algorithm == "gauss_seidel" else cfg.tol / m
+    disp_tol = cfg.tol if cfg.algorithm == "gauss_seidel" else cfg.tol / m
     chunk = max(1, _CHUNK_ENTRIES // math.prod(A.dims[:-1]))
     outcomes = []
     for first in range(0, len(rows[0]), chunk):
-        outcomes += _finish(A, cfg, algorithm, conj_data, _iterate(
-            conj_data, [X[first:first + chunk] for X in rows], algorithm, cfg.alpha,
+        outcomes += _finish(A, cfg, conj_data, _iterate(
+            conj_data, [X[first:first + chunk] for X in rows], cfg.algorithm, cfg.alpha,
             tol, disp_tol, cfg.max_iter, record_iterates,
         ), exponent)
     return outcomes
 
 
-def _solve_one(
-    A: ComplexTensor, cfg: SolverConfig, algorithm: str, start,
-    record_iterates: bool = False,
-) -> UEigenpair:
-    """``algorithm`` from one start: the batch of one, its error raised."""
-    (outcome,) = _solve_batch(
-        A, cfg, algorithm, _start_rows(A, algorithm, start), record_iterates
-    )
+def solve(A: ComplexTensor, cfg: SolverConfig, start, record_iterates: bool = False) -> UEigenpair:
+    """Run ``cfg.algorithm`` from ``start``: the batch of one, its error raised."""
+    (outcome,) = _solve_batch(A, cfg, _start_rows(A, cfg.algorithm, start), record_iterates)
     if isinstance(outcome, SolverError):
         raise outcome
     return outcome
@@ -543,7 +527,7 @@ def solve_embed(
     lambda_S = m! lambda. The eigenvalue of A is (sqrt(m))^m / m! * |lam_S|,
     its factors the blocks of x rescaled to unit norm.
     """
-    return _solve_one(A, cfg, "embed", start, record_iterates)
+    return solve(A, replace(cfg, algorithm="embed"), start, record_iterates)
 
 
 def solve_joint(
@@ -559,7 +543,7 @@ def solve_joint(
     rescales all vectors together. The eigenvalue of A is
     (sqrt(m))^m * |lam| with the factors rescaled to unit norm.
     """
-    return _solve_one(A, cfg, "joint", start, record_iterates)
+    return solve(A, replace(cfg, algorithm="joint"), start, record_iterates)
 
 
 def solve_gauss_seidel(
@@ -571,7 +555,7 @@ def solve_gauss_seidel(
     """Gauss-Seidel sweep: modes updated in order with immediate per-vector
     normalization, each update using the vectors already refreshed in the
     current sweep. ``start`` holds one unit vector per mode."""
-    return _solve_one(A, cfg, "gauss_seidel", start, record_iterates)
+    return solve(A, replace(cfg, algorithm="gauss_seidel"), start, record_iterates)
 
 
 def _random_rows(
@@ -632,11 +616,6 @@ class MultiStartResult:
         return tuple(r for r in self.runs if not r.ok)
 
 
-def solve(A: ComplexTensor, cfg: SolverConfig, start, **kwargs) -> UEigenpair:
-    """Run the algorithm selected by ``cfg.algorithm`` from ``start``."""
-    return _solve_one(A, cfg, cfg.algorithm, start, **kwargs)
-
-
 def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     """Run the configured solver from ``cfg.starts`` seeded random starts.
 
@@ -653,7 +632,7 @@ def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
         np.random.default_rng(child)
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.starts)
     ]
-    outcomes = _solve_batch(A, cfg, cfg.algorithm, _random_rows(rngs, A.dims, cfg.algorithm))
+    outcomes = _solve_batch(A, cfg, _random_rows(rngs, A.dims, cfg.algorithm))
     runs = tuple(
         StartResult(index, None, str(outcome))
         if isinstance(outcome, SolverError) else StartResult(index, outcome, None)

@@ -165,6 +165,18 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _scaled_conj(T: ComplexTensor) -> tuple[np.ndarray, int]:
+    """conj(T) 2^-e and e, the binary exponent of max |T| clipped to
+    [-1000, 1000]: the largest scaled entry lies in [1/2, 1), so nothing
+    computed on the copy underflows or overflows at any finite scale of T,
+    and 2^e, a normal double, multiplies a result back exactly."""
+    exponent = min(max(math.frexp(np.abs(T.data).max())[1], -1000), 1000)
+    conj_data = np.conj(T.data)
+    if exponent:
+        np.ldexp(conj_data.view(float), -exponent, out=conj_data.view(float))
+    return conj_data, exponent
+
+
 def _contract_excluding(conj_data: np.ndarray, rows, k0: int) -> np.ndarray:
     """Mode-k0 sums conj(T) * prod_{i != k0} xi, one row per factor row
     (k0 zero-based).

@@ -488,6 +488,17 @@ class TestOracleCommand:
         assert "certified" not in out
         assert ", 0.577350]  ok" in out
 
+    @pytest.mark.parametrize("s", [1e150, 1e-300])
+    def test_bounds_are_judged_on_the_tensors_scale(self, capsys, tmp_path, s):
+        # The bounds and the slack scale with the tensor, so example_4_2's
+        # interval is consistent and, at 1e-300, still not a point.
+        data = s * catalog.build("example_4_2").tensor.data
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(tensor_to_json(ComplexTensor(data))))
+        code, out, _ = run(capsys, "oracle", "--file", str(path), "--samples", "2000")
+        assert code == 0
+        assert "MISMATCH" not in out and "certified" not in out
+
     def test_invalid_samples_rejected_before_solving(self, capsys, monkeypatch):
         def no_solve(tensor, cfg):
             raise AssertionError("solver ran")

@@ -23,6 +23,7 @@ from ueigen import (
     random_start,
     rank_one,
     residual,
+    sampling_oracle,
     shift_to_embedded,
     solve,
     solve_embed,
@@ -68,6 +69,17 @@ def unit_vectors(rng, dims):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         out.append(z / np.linalg.norm(z))
     return out
+
+
+def scale_case(name):
+    """A tensor, and a pair off its eigenpairs (so that its residual is
+    of order one) for the scale tests."""
+    if name == "order_1":
+        A = ComplexTensor(np.array([0.6, 0, 0.8j]))
+    else:
+        built = catalog.build(name)
+        A = getattr(built, "tensor", built)
+    return A, 0.3, unit_vectors(np.random.default_rng(5), A.dims)
 
 
 class TestFixedPoints:
@@ -355,13 +367,32 @@ class TestScaleCovariance:
                 assert [repr(x) for x in pb.trace.lams] == [repr(s * x) for x in pa.trace.lams]
                 assert pb.trace.step_errors[1:] == [s * x for x in pa.trace.step_errors[1:]]
 
-    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e150, 1e200, 1e300])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_extreme_scales_solve(self, algorithm, s):
         A = ComplexTensor(s * catalog.build("example_4_2").tensor.data)
         best = multi_start(A, SolverConfig(algorithm=algorithm, starts=3)).best
         assert best.converged
         assert best.eigenvalue / s == pytest.approx(math.sqrt(1 / 3), abs=1e-9)
+        # residual() is the solver's own residual, computed alike.
+        assert repr(residual(A, best)) == repr(best.residual)
+
+    @pytest.mark.parametrize("s", [2.0**-600, 2.0**7, 2.0**600, 1e-300, 1e150, 1e300])
+    @pytest.mark.parametrize("name", ["example_4_2", "trig_5", "order_1"])
+    def test_residual_and_bound_scale_with_the_tensor(self, name, s):
+        # residual() and the sampling bound run on the scaled copy the loop
+        # runs on: on 2^k A they are bitwise 2^k times A's, and on s A, whose
+        # entries s rounds, equal to rounding. On the unscaled tensor they
+        # underflowed to 0.0 or overflowed to inf at the extremes.
+        A, lam, vecs = scale_case(name)
+        B = ComplexTensor(s * A.data)
+        got = residual_at(B, s * lam, vecs), sampling_oracle(B, 500)
+        expected = s * residual_at(A, lam, vecs), s * sampling_oracle(A, 500)
+        if math.frexp(s)[0] == 0.5:  # a power of two
+            assert [repr(x) for x in got] == [repr(x) for x in expected]
+        else:
+            assert all(math.isfinite(x) for x in got)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestShiftSafeguard:
@@ -525,7 +556,7 @@ class TestMultiStart:
         cfg = SolverConfig(algorithm=algorithm)
         outcomes = [(v, 0.5 + 0j, IterationTrace([0.5 + 0j], [None])) for v in vecs]
         conj_data = np.conj(ex41.tensor.data)
-        results = _finish(ex41.tensor, cfg, algorithm, conj_data, outcomes)
+        results = _finish(ex41.tensor, cfg, conj_data, outcomes)
         assert isinstance(results[0], BreakdownError)
         assert str(results[0]) == message
         assert all(np.array_equal(f, g) for f, g in zip(results[1].factors.vectors, good))
@@ -553,8 +584,8 @@ class TestMultiStart:
         ]
         cfg = SolverConfig(algorithm="gauss_seidel")
         conj_data = np.conj(ex41.tensor.data)
-        results = _finish(ex41.tensor, cfg, "gauss_seidel", conj_data, outcomes)
-        (alone,) = _finish(ex41.tensor, cfg, "gauss_seidel", conj_data, outcomes[1:])
+        results = _finish(ex41.tensor, cfg, conj_data, outcomes)
+        (alone,) = _finish(ex41.tensor, cfg, conj_data, outcomes[1:])
         assert type(results[0]) is SolverError
         assert "overflowed" in str(results[0])
         assert bits(results[1]) == bits(alone)
