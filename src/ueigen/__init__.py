@@ -47,7 +47,7 @@ from .oracle import (
 )
 from . import catalog
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ALGORITHMS",

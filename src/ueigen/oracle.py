@@ -1,14 +1,15 @@
 """Independent correctness anchors for the iterative solvers.
 
 None of these share iteration machinery with the solvers: the matrix oracle
-takes the top singular value from LAPACK's SVD; the sampling oracle draws
+takes the top singular value from LAPACK's SVD; the sampling oracle, one
+loop over batches of ``_BATCH`` samples, each seeded as it is drawn, draws
 random factors for all modes but mode 1 and, when some mode has dim 2, a
 second mode q, and solves the undrawn factors in closed form (a vector norm,
 or the top singular value of a 2 x n matrix from its 2 x 2 Gram matrix),
-with no iteration, so each sample is the overlap of an explicit product
-state (for order 1, and order 2 with a mode of dim 2, nothing is drawn and
-the bound is exact); and the flattening interval reads lambda off the
-singular values of the tensor's matrix reshapings.
+with no iteration and no code shared with the flattening, so each sample is
+the overlap of an explicit product state (nothing is drawn, and the bound is
+exact, for order 1 and order 2 with a mode of dim 2); and the flattening
+interval reads lambda off the singular values of the matrix reshapings.
 
 All bounds hold at any finite scale of A: the sampling oracle runs on the
 solvers' conj(A) 2^-e (``tensor._scaled_conj``) and multiplies its bound
@@ -31,6 +32,9 @@ __all__ = [
     "evaluate_oracles",
 ]
 
+_BATCH = 2048  # samples per batch of the sampling oracle, one child seed each
+
+
 @dataclass(frozen=True)
 class OracleResult:
     lambda_lower_bound: float
@@ -51,12 +55,7 @@ def svd_oracle(A: ComplexTensor) -> float:
     return _flattening_interval(A)[1]
 
 
-def sampling_oracle(
-    A: ComplexTensor,
-    samples: int,
-    seed: int = 0,
-    batch: int = 2048,
-) -> float:
+def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
     """Certified lower bound: best overlap modulus over sampled product states.
 
     Each sample leaves mode 1 undrawn and, when some mode has dim 2, a
@@ -77,47 +76,40 @@ def sampling_oracle(
 
     The largest value found is returned; it is the overlap of an explicit
     product state, so it can never exceed the true maximum, and solver
-    results must dominate it. For order 1 nothing is drawn and the bound is
-    ``||A||``; for order 2 with a mode of dim 2 nothing is drawn either and
-    the bound is sigma_1 of A. Both are exact. No iteration runs. Where
-    anything is drawn, the bound of 2^k A is bitwise 2^k times A's.
+    results must dominate it. For order 1, and order 2 with a mode of dim 2,
+    no mode is drawn: the same closed form on ``conj(A)`` itself gives the
+    exact ``||A||`` or sigma_1 of A. No iteration runs, and the bound of
+    2^k A is bitwise 2^k times A's.
 
-    The draws come in batches of ``batch`` samples, each from its own child
-    of ``SeedSequence(seed)``: per drawn mode, in increasing order, real then
-    imaginary normals of shape ``(count, d)``. They are not normalized: the
-    value is multilinear in them, so each sample's squared value is divided
-    once by the product of its factors' squared norms. Each batch is
-    contracted in chunks, last drawn mode first: one matrix product of the
-    chunk's last factors with ``conj(A)``, its undrawn modes moved to the
-    front (qubit mode first), then one batched matrix-vector product per
-    drawn mode, leaving c or M per sample. The chunk keeps the first
-    product near 2 MB whatever the batch.
+    The draws come in batches of ``_BATCH`` samples, the last one shorter,
+    each from the next child spawned from ``SeedSequence(seed)`` as it is
+    drawn: per drawn mode, in increasing order, real then imaginary normals
+    of shape ``(count, d)``. They are not normalized: the value is
+    multilinear in them, so each sample's squared value is divided once by
+    the product of its factors' squared norms. Each batch is contracted in
+    chunks, last drawn mode first: one matrix product of the chunk's last
+    factors with ``conj(A)``, its undrawn modes moved to the front (qubit
+    mode first), then one batched matrix-vector product per drawn mode,
+    leaving c or M per sample. The chunk keeps the first product near 2 MB.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
     conj_data, exponent = _scaled_conj(A)
-    if A.order == 1:
-        return float(np.linalg.norm(conj_data)) * 2.0**exponent
     undrawn = _undrawn_modes(A.dims)
-    if len(undrawn) == A.order:
-        return _flattening_interval(A)[1]
+    qubit = len(undrawn) == 2
     drawn = [k for k in range(1, A.order) if k not in undrawn]
+    if not drawn:
+        row = conj_data.transpose(undrawn).reshape(1, -1)
+        return math.sqrt(float(_top_square(row, qubit)[0])) * 2.0**exponent
     axes = undrawn + drawn
     lead = math.prod(A.dims[k] for k in axes[:-1])
     conj_t = conj_data.transpose(axes).reshape(lead, A.dims[axes[-1]]).T
-    qubit = len(undrawn) == 2
     chunk = max(1, _CHUNK_ENTRIES // lead)
-    children = np.random.SeedSequence(seed).spawn(
-        (samples + batch - 1) // batch
-    )
+    root = np.random.SeedSequence(seed)
     best = 0.0  # the largest squared value
-    remaining = samples
-    for child in children:
-        rng = np.random.default_rng(child)
-        count = min(batch, remaining)
-        remaining -= count
+    for first in range(0, samples, _BATCH):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        count = min(_BATCH, samples - first)
         mats, norms2 = [], np.ones(count)
         for k in drawn:
             z, squares = _complex_normals(rng, count, A.dims[k])

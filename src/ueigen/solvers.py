@@ -235,13 +235,14 @@ def _check_starts(A: ComplexTensor, algorithm: str, rows: list[np.ndarray]):
         n = sum(A.dims)
         if rows[0].shape[1] != n:
             raise ValueError(f"start has length {rows[0].shape[1]}, embedding size is {n}")
+    # Written as "not within" so that a NaN norm fails too.
     norms = [_row_norms(X) for X in rows]
     if algorithm == "joint":
-        if np.any(np.abs(np.sqrt(sum(nrm**2 for nrm in norms)) - 1.0) > 1e-8):
+        if not np.all(np.abs(np.sqrt(sum(nrm**2 for nrm in norms)) - 1.0) <= 1e-8):
             raise ValueError("start factors must be jointly normalized")
         return
     for i, nrm in enumerate(norms, start=1):
-        if np.any(np.abs(nrm - 1.0) > 1e-8):
+        if not np.all(np.abs(nrm - 1.0) <= 1e-8):
             raise ValueError(
                 "start vector must have unit norm" if algorithm == "embed"
                 else f"start vector for mode {i} must have unit norm"
@@ -366,8 +367,9 @@ def _iterate(
         abs_lam = abs_new
         # The displacement decides a stop only for a row whose step error is
         # below tol (about half the steps of a converging run), so it is
-        # computed only when some row's is.
-        if min(step_errors) < tol:
+        # computed only when some row's is. min() returns a leading NaN, and
+        # "not >=" then computes it anyway, so a NaN row delays no other.
+        if not min(step_errors) >= tol:
             moves = [X - P for X, P in zip(rows, previous)]
             if algorithm == "embed":
                 moves = [np.concatenate(moves, axis=1)]

@@ -238,8 +238,10 @@ def zeros(dims: Sequence[int]) -> ComplexTensor:
 
 
 def norm(T: ComplexTensor) -> float:
-    """Frobenius norm: sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(T.data.ravel()))
+    """Frobenius norm: sqrt of the sum of squared entry moduli, taken of
+    T 2^-e (``_scaled_conj``) times 2^e, so no finite T under- or overflows."""
+    conj_data, exponent = _scaled_conj(T)
+    return math.ldexp(float(np.linalg.norm(conj_data.ravel())), exponent)
 
 
 def rank_one(factors) -> ComplexTensor:

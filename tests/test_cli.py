@@ -488,10 +488,11 @@ class TestOracleCommand:
         assert "certified" not in out
         assert ", 0.577350]  ok" in out
 
-    @pytest.mark.parametrize("s", [1e150, 1e-300])
+    @pytest.mark.parametrize("s", [1e150, 1e-300, 1e200])
     def test_bounds_are_judged_on_the_tensors_scale(self, capsys, tmp_path, s):
         # The bounds and the slack scale with the tensor, so example_4_2's
-        # interval is consistent and, at 1e-300, still not a point.
+        # interval is consistent and, at 1e-300, still not a point. At 1e200
+        # the tensor's norm overflowed with a RuntimeWarning.
         data = s * catalog.build("example_4_2").tensor.data
         path = tmp_path / "scaled.json"
         path.write_text(json.dumps(tensor_to_json(ComplexTensor(data))))

@@ -5,6 +5,8 @@ Needs hypothesis; without it this module is skipped and the rest of the
 suite runs unchanged.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ st = hypothesis.strategies
 from ueigen import (  # noqa: E402
     contract_excluding,
     norm,
+    oracle,
     overlap,
     rank_one,
     sampling_oracle,
@@ -97,6 +100,8 @@ def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
 )
 def test_sampling_oracle_matches_overlap_reference(dims, samples, batch, seed):
     T = random_tensor(np.random.default_rng(seed), tuple(dims))
-    value = sampling_oracle(T, samples, seed=seed, batch=batch)
+    # A patch, not a fixture: hypothesis rejects function-scoped fixtures.
+    with mock.patch.object(oracle, "_BATCH", batch):
+        value = sampling_oracle(T, samples, seed=seed)
     reference = reference_sampling_bound(T, samples, seed, batch)
     assert abs(value - reference) <= 1e-12 * norm(T)

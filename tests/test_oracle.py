@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ueigen import (
     sampling_oracle,
     svd_oracle,
 )
-from ueigen import catalog
+from ueigen import catalog, oracle
 from ueigen.catalog import example_4_1, example_4_2, example_4_7
 from conftest import random_tensor, reference_sampling_bound
 
@@ -87,7 +88,8 @@ class TestSamplingOracle:
         # 40 * 40 = 1600 leading entries make chunks of 81 samples, so each
         # batch of 512 (and the last one, of 440) spans several chunks.
         T = catalog.random_state((40, 40, 3), seed=0).tensor
-        value = sampling_oracle(T, samples=3000, seed=4, batch=512)
+        with mock.patch.object(oracle, "_BATCH", 512):
+            value = sampling_oracle(T, samples=3000, seed=4)
         reference = reference_sampling_bound(T, 3000, seed=4, batch=512)
         assert abs(value - reference) <= 1e-12
 
@@ -160,14 +162,25 @@ class TestSamplingOracle:
             tracemalloc.stop()
         assert peak <= 8_000_000
 
+    def test_peak_memory_does_not_grow_with_batches(self):
+        # 3,000 batches of one sample: each batch's seed is spawned as it is
+        # drawn, so the peak stays near 6 kB; spawning all 3,000 up front
+        # held about 1.1 MB of seeds. The warm-up keeps numpy's first-call
+        # allocations out of the trace.
+        T = example_4_1().tensor
+        sampling_oracle(T, samples=1)
+        with mock.patch.object(oracle, "_BATCH", 1):
+            tracemalloc.start()
+            try:
+                sampling_oracle(T, samples=3000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 400_000
+
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
             sampling_oracle(example_4_1().tensor, samples=0)
-
-    @pytest.mark.parametrize("batch", [0, -1])
-    def test_invalid_batch(self, batch):
-        with pytest.raises(ValueError, match="batch must be >= 1"):
-            sampling_oracle(example_4_1().tensor, samples=10, batch=batch)
 
 
 class TestOrthogonalSumOracle:

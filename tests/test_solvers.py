@@ -146,6 +146,20 @@ class TestStartValidation:
         with pytest.raises(ValueError, match="unit norm"):
             solve_gauss_seidel(ex41.tensor, cfg, bad)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_nan_start_is_an_input_error(self, ex41, algorithm):
+        # A NaN norm is not within 1e-8 of 1; it used to pass the check,
+        # iterate in NaN and end as "the iteration overflowed".
+        start = random_start(np.random.default_rng(3), ex41.tensor.dims, algorithm)
+        if algorithm == "embed":
+            start = start.copy()
+            start[1] = math.nan
+        else:
+            start = [v.copy() for v in start.vectors]
+            start[1][0] = math.nan
+        with pytest.raises(ValueError, match="normalized|unit norm"):
+            solve(ex41.tensor, SolverConfig(algorithm=algorithm), start)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.0)
@@ -380,14 +394,16 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("s", [2.0**-600, 2.0**7, 2.0**600, 1e-300, 1e150, 1e300])
     @pytest.mark.parametrize("name", ["example_4_2", "trig_5", "order_1"])
     def test_residual_and_bound_scale_with_the_tensor(self, name, s):
-        # residual() and the sampling bound run on the scaled copy the loop
-        # runs on: on 2^k A they are bitwise 2^k times A's, and on s A, whose
-        # entries s rounds, equal to rounding. On the unscaled tensor they
-        # underflowed to 0.0 or overflowed to inf at the extremes.
+        # residual(), the sampling bound and norm() run on the scaled copy
+        # the loop runs on: on 2^k A they are bitwise 2^k times A's, and on
+        # s A, whose entries s rounds, equal to rounding. On the unscaled
+        # tensor they underflowed to 0.0 or overflowed to inf at the extremes.
         A, lam, vecs = scale_case(name)
         B = ComplexTensor(s * A.data)
-        got = residual_at(B, s * lam, vecs), sampling_oracle(B, 500)
-        expected = s * residual_at(A, lam, vecs), s * sampling_oracle(A, 500)
+        got = residual_at(B, s * lam, vecs), sampling_oracle(B, 500), norm(B)
+        expected = (
+            s * residual_at(A, lam, vecs), s * sampling_oracle(A, 500), s * norm(A)
+        )
         if math.frexp(s)[0] == 0.5:  # a power of two
             assert [repr(x) for x in got] == [repr(x) for x in expected]
         else:
@@ -528,6 +544,17 @@ class TestMultiStart:
             vecs, lam, trace = results[row]
             assert all(np.allclose(vec, X[row], rtol=0, atol=1e-15) for vec in vecs)
             assert trace.status == "converged" and trace.iterations == 1
+
+    def test_nan_row_does_not_delay_another_rows_stop(self):
+        # Row 1 starts at the fixed point e2 x e2 and stops after one step,
+        # as it does alone, although row 0's step error is NaN; the minimum
+        # over the rows' step errors was NaN, and row 1 took two steps.
+        conj_data = np.diag([1.0, 0.7, 0.5]).astype(complex)
+        X = np.array([[math.nan, 0, 0], [0, 1, 0]], dtype=complex)
+        with np.errstate(invalid="ignore"):  # row 0's NaN arithmetic
+            results = _iterate(conj_data, [X, X], "gauss_seidel", 1.0, 1e-9, 1e-9, 10, False)
+        (alone,) = _iterate(conj_data, [X[1:], X[1:]], "gauss_seidel", 1.0, 1e-9, 1e-9, 10, False)
+        assert results[1][2].iterations == alone[2].iterations == 1
 
     @pytest.mark.parametrize("algorithm", ["joint", "embed"])
     def test_nan_start_leaves_the_batch(self, ex41, algorithm):
