@@ -274,7 +274,7 @@ def cmd_oracle(args) -> int:
     tensor, label = _load_tensor(args)
     record = _record(tensor, _config(args, args.algo))
     solver_lambda, seconds = record["lambda"], record["timing"]["seconds"]
-    print(f"{label}: solver ({args.algo}) lambda = {solver_lambda:.6f}  [{seconds:.2f} s]")
+    print(f"{label}: solver ({args.algo}) lambda = {solver_lambda:#.6g}  [{seconds:.2f} s]")
     ok = True
     results = evaluate_oracles(tensor, samples=args.samples, seed=args.seed)
     sigma = results[-1].lambda_upper_bound  # the scale: lambda(sA) = |s| lambda(A)
@@ -284,7 +284,7 @@ def cmd_oracle(args) -> int:
         ok = ok and consistent
         certified = "certified  " if upper - lower <= 1e-12 * sigma else ""
         print(
-            f"  {res.method:<10} [{lower:.6f}, {upper:.6f}]  "
+            f"  {res.method:<10} [{lower:#.6g}, {upper:#.6g}]  "
             f"{certified}{'ok' if consistent else 'MISMATCH'}"
         )
     return EXIT_OK if ok else EXIT_NUMERICAL

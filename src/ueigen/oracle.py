@@ -1,15 +1,17 @@
 """Independent correctness anchors for the iterative solvers.
 
 None of these share iteration machinery with the solvers: the matrix oracle
-takes the top singular value from LAPACK's SVD; the sampling oracle, one
-loop over batches of ``_BATCH`` samples, each seeded as it is drawn, draws
-random factors for all modes but mode 1 and, when some mode has dim 2, a
-second mode q, and solves the undrawn factors in closed form (a vector norm,
-or the top singular value of a 2 x n matrix from its 2 x 2 Gram matrix),
-with no iteration and no code shared with the flattening, so each sample is
-the overlap of an explicit product state (nothing is drawn, and the bound is
-exact, for order 1 and order 2 with a mode of dim 2); and the flattening
-interval reads lambda off the singular values of the matrix reshapings.
+takes the top singular value from LAPACK's SVD; the sampling oracle draws
+random factors on a product grid for all modes but mode 1 and, when some
+mode has dim 2, a second mode q, and solves the undrawn factors in closed
+form (a vector norm, or the top singular value of a 2 x n matrix from its
+2 x 2 Gram matrix), with no iteration and no code shared with the
+flattening, so each grid point is the overlap of an explicit product state
+(nothing is drawn, and the bound is exact, for order 1 and order 2 with a
+mode of dim 2); and the flattening interval reads lambda off the singular
+values of the matrix reshapings. The grid's last drawn mode streams in
+batches of ``_BATCH`` draws, each seeded as it is drawn, and one matrix
+product that reads the whole tensor serves every grid point of a draw.
 
 All bounds hold at any finite scale of A: the sampling oracle runs on the
 solvers' conj(A) 2^-e (``tensor._scaled_conj``) and multiplies its bound
@@ -32,7 +34,7 @@ __all__ = [
     "evaluate_oracles",
 ]
 
-_BATCH = 2048  # samples per batch of the sampling oracle, one child seed each
+_BATCH = 2048  # draws of the last grid mode per batch, one child seed each
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,16 @@ def svd_oracle(A: ComplexTensor) -> float:
 
 
 def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
-    """Certified lower bound: best overlap modulus over sampled product states.
+    """Certified lower bound: best overlap modulus over a grid of product states.
 
     Each sample leaves mode 1 undrawn and, when some mode has dim 2, a
     second mode q: the largest mode after mode 1 (first on ties) when mode 1
     has dim 2, else the first mode of dim 2. It draws complex-normal factors
-    for the other modes. With those scaled to unit norm, the contraction of
-    ``conj(A)`` against them leaves the best overlap over unit factors at
-    the undrawn modes in closed form:
+    for the other modes of dim > 1; a dim-1 mode's unit factors are phases,
+    which leave the modulus alone, so its factor is 1. With the drawn
+    factors scaled to unit norm, the contraction of ``conj(A)`` against them
+    leaves the best overlap over unit factors at the undrawn modes in closed
+    form:
 
     * mode 1 alone: a vector c, whose best overlap is ``||c||``, attained by
       the product state with x_1 = conj(c) / ||c||;
@@ -76,52 +80,108 @@ def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
 
     The largest value found is returned; it is the overlap of an explicit
     product state, so it can never exceed the true maximum, and solver
-    results must dominate it. For order 1, and order 2 with a mode of dim 2,
-    no mode is drawn: the same closed form on ``conj(A)`` itself gives the
-    exact ``||A||`` or sigma_1 of A. No iteration runs, and the bound of
-    2^k A is bitwise 2^k times A's.
+    results must dominate it. When no mode is left to draw (order 1, order 2
+    with a mode of dim 2, or every other mode of dim 1), the same closed
+    form on ``conj(A)`` itself gives the exact ``||A||`` or sigma_1 of A.
+    No iteration runs, and the bound of 2^k A is bitwise 2^k times A's.
 
-    The draws come in batches of ``_BATCH`` samples, the last one shorter,
-    each from the next child spawned from ``SeedSequence(seed)`` as it is
-    drawn: per drawn mode, in increasing order, real then imaginary normals
-    of shape ``(count, d)``. They are not normalized: the value is
-    multilinear in them, so each sample's squared value is divided once by
-    the product of its factors' squared norms. Each batch is contracted in
-    chunks, last drawn mode first: one matrix product of the chunk's last
-    factors with ``conj(A)``, its undrawn modes moved to the front (qubit
-    mode first), then one batched matrix-vector product per drawn mode,
-    leaving c or M per sample. The chunk keeps the first product near 2 MB.
+    The samples form a product grid: B_k factors per drawn mode, every
+    combination taken once. The B_k differ by at most one, the larger ones
+    on the later modes, and their product is the first to reach
+    ``samples``, so ``samples <= prod B_k < 2 samples``. The inner modes
+    (every drawn mode but the last) are drawn once, from
+    ``default_rng(SeedSequence(seed))``: per mode, in increasing order,
+    real then imaginary normals of shape ``(B_k, d)``. Their grid is held in
+    memory, so when it times the undrawn size would pass the 2 MB chunk,
+    each inner B_k is the largest side whose power fits it and the last
+    mode takes the rest of the count, still within ``[samples, 2
+    samples)``. The last mode is drawn in batches of ``_BATCH``, the last
+    one shorter, each from the next child spawned from
+    ``SeedSequence(seed)`` as it is drawn: real then imaginary normals of
+    shape ``(count, d)``. With one drawn mode each draw is one sample, and
+    the draws are those of independent samples. Draws are not normalized:
+    the value is multilinear in them, so each grid point's squared value is
+    divided once by the product of its factors' squared norms.
+
+    Each batch is contracted in chunks of its draws: one matrix product of
+    the chunk with ``conj(A)``, its inner modes first and its undrawn modes
+    (qubit mode first) after them, then, from the last inner mode inwards,
+    one matrix product of that mode's B_k draws with each chunk row, which
+    leaves c or M at every grid point. The chunk keeps the widest of these
+    products near 2 MB.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     conj_data, exponent = _scaled_conj(A)
-    undrawn = _undrawn_modes(A.dims)
+    dims = A.dims
+    undrawn = _undrawn_modes(dims)
     qubit = len(undrawn) == 2
-    drawn = [k for k in range(1, A.order) if k not in undrawn]
+    drawn = [k for k in range(1, A.order) if k not in undrawn and dims[k] > 1]
+    axes = drawn[:-1] + undrawn + drawn[-1:]
+    axes += [k for k in range(A.order) if k not in axes]  # the dim-1 modes
+    width = math.prod(dims[k] for k in undrawn)
     if not drawn:
-        row = conj_data.transpose(undrawn).reshape(1, -1)
+        row = conj_data.transpose(axes).reshape(1, -1)
         return math.sqrt(float(_top_square(row, qubit)[0])) * 2.0**exponent
-    axes = undrawn + drawn
-    lead = math.prod(A.dims[k] for k in axes[:-1])
-    conj_t = conj_data.transpose(axes).reshape(lead, A.dims[axes[-1]]).T
-    chunk = max(1, _CHUNK_ENTRIES // lead)
+    *inner, last = drawn
+    sizes = _grid_sizes(samples, len(drawn), max(1, _CHUNK_ENTRIES // width))
+    lead = math.prod(dims) // dims[last]
+    conj_t = conj_data.transpose(axes).reshape(lead, dims[last]).T
     root = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(root)
+    grid, grid_norms2 = [], np.ones(1)
+    for k, b in zip(inner, sizes):
+        z, squares = _complex_normals(rng, b, dims[k])
+        grid.append(z)
+        grid_norms2 = np.multiply.outer(grid_norms2, squares).ravel()
+    widest = step = lead  # entries per chunk row along the chain of products
+    for k, z in zip(reversed(inner), reversed(grid)):
+        step = step // dims[k] * len(z)
+        widest = max(widest, step)
+    chunk = max(1, _CHUNK_ENTRIES // widest)
     best = 0.0  # the largest squared value
-    for first in range(0, samples, _BATCH):
+    for first in range(0, sizes[-1], _BATCH):
         rng = np.random.default_rng(root.spawn(1)[0])
-        count = min(_BATCH, samples - first)
-        mats, norms2 = [], np.ones(count)
-        for k in drawn:
-            z, squares = _complex_normals(rng, count, A.dims[k])
-            mats.append(z)
-            norms2 *= squares
+        count = min(_BATCH, sizes[-1] - first)
+        outer, norms2 = _complex_normals(rng, count, dims[last])
         for start in range(0, count, chunk):
             rows = slice(start, start + chunk)
-            t = mats[-1][rows] @ conj_t
-            for z in reversed(mats[:-1]):
-                t = (t.reshape(len(t), -1, z.shape[1]) @ z[rows, :, None])[..., 0]
-            best = max(best, float(np.max(_top_square(t, qubit) / norms2[rows])))
+            t = outer[rows] @ conj_t
+            tail = width  # entries after mode k's index in a chunk row
+            for k, z in zip(reversed(inner), reversed(grid)):
+                t = z @ t.reshape(len(t), -1, dims[k], tail)
+                tail *= len(z)
+            values = _top_square(t.reshape(-1, width), qubit).reshape(len(t), -1)
+            best = max(best, float(np.max(values / (norms2[rows, None] * grid_norms2))))
     return math.sqrt(best) * 2.0**exponent
+
+
+def _grid_sizes(samples: int, n: int, inner_cap: int) -> list[int]:
+    """B_k for n drawn modes: sizes that differ by at most one, the larger
+    ones last, whose product is the first to reach ``samples``. When the
+    first n - 1 multiply to more than ``inner_cap``, each of them is the
+    largest side whose (n - 1)-th power is at most ``inner_cap`` instead.
+    The last is the rest of the count, ceil(samples / prod of the others),
+    so the product stays in [samples, 2 samples)."""
+    sizes = [_root(samples, n)] * n
+    for k in reversed(range(n)):
+        if math.prod(sizes) >= samples:
+            break
+        sizes[k] += 1
+    inner = sizes[:-1]
+    if math.prod(inner) > inner_cap:
+        inner = [_root(inner_cap, n - 1)] * (n - 1)
+    return inner + [-(-samples // math.prod(inner))]
+
+
+def _root(count: int, n: int) -> int:
+    """The largest integer side with side**n <= count (count >= 1)."""
+    side = max(1, round(count ** (1 / n)))
+    while side**n > count:
+        side -= 1
+    while (side + 1) ** n <= count:
+        side += 1
+    return side
 
 
 def _complex_normals(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,51 +16,78 @@ def random_tensor(rng, dims):
 
 def reference_sampling_bound(T, samples, seed, batch):
     """``sampling_oracle`` rebuilt from its documented draws, one explicit
-    product state per sample.
+    product state per grid point.
 
-    Each batch of ``batch`` samples has its own child of ``SeedSequence(seed)``
-    and draws, per drawn mode in increasing order, real then imaginary
-    normals of shape (count, d), each sample's factor then scaled to unit
-    norm. Mode 1 is never drawn. When the order is >= 2 and some mode has
-    dim 2, mode q is not drawn either: the largest mode after mode 1 (first
-    on ties) when mode 1 has dim 2, else the first mode of dim 2. The
-    contraction over the drawn modes, with the qubit mode's factor set to
-    each basis vector in turn, gives the 2 x n matrix M; the undrawn factors
-    are the conjugated top singular pair of M from ``np.linalg.svd``. With
-    mode 1 alone undrawn, its factor is conj(c) / ||c|| for c the
-    contraction over the drawn modes. The value is the overlap modulus of
-    that product state.
+    Mode 1 is never drawn. When the order is >= 2 and some mode has dim 2,
+    mode q is not drawn either: the largest mode after mode 1 (first on
+    ties) when mode 1 has dim 2, else the first mode of dim 2. A mode of
+    dim 1 is not drawn; its factor is 1. The r modes left are drawn on a
+    grid of B_k factors each: starting from all ones, the sizes are raised
+    by one at a time, last mode first, round and round, until their product
+    reaches ``samples``. If the first r - 1 then multiply to more than
+    2^17 // (the undrawn size), each is the largest side whose (r-1)-th
+    power is at most that (or 1), and the last is ceil(samples / their
+    product).
+    The first r - 1 modes draw from ``default_rng(SeedSequence(seed))``, the
+    last in batches of ``batch`` from the children of ``SeedSequence(seed)``
+    in turn, each (per mode in increasing order) real then imaginary normals
+    of shape (B_k, d) or (count, d), scaled to unit norm by row. Every
+    combination of one row per drawn mode is a sample. The contraction over
+    the drawn modes, with the qubit mode's factor set to each basis vector
+    in turn, gives the 2 x n matrix M; the undrawn factors are the
+    conjugated top singular pair of M from ``np.linalg.svd``. With mode 1
+    alone undrawn, its factor is conj(c) / ||c|| for c the contraction over
+    the drawn modes. The value is the overlap modulus of that product state.
     """
     m, dims = T.order, T.dims
     pair = None
     if m >= 2 and 2 in dims:
         pair = (0, 1 + int(np.argmax(dims[1:]))) if dims[0] == 2 else (dims.index(2), 0)
-    drawn = [k for k in range(1, m) if pair is None or k not in pair]
-    children = np.random.SeedSequence(seed).spawn(-(-samples // batch))
+    undrawn = pair or (0,)
+    drawn = [k for k in range(1, m) if k not in undrawn and dims[k] > 1]
+    r = len(drawn)
+
+    def unit_rows(rng, count, d):
+        z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    grid = []
+    if r:
+        sizes, k = [1] * r, r - 1
+        while math.prod(sizes) < samples:
+            sizes[k] += 1
+            k = (k - 1) % r
+        cap = max(1, (1 << 17) // math.prod(dims[j] for j in undrawn))
+        if math.prod(sizes[:-1]) > cap:
+            side = 1
+            while (side + 1) ** (r - 1) <= cap:
+                side += 1
+            sizes = [side] * (r - 1) + [-(-samples // side ** (r - 1))]
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        grid = [unit_rows(rng, b, dims[k]) for k, b in zip(drawn[:-1], sizes)]
+        children = np.random.SeedSequence(seed).spawn(-(-sizes[-1] // batch))
+        outer = []
+        for b, child in enumerate(children):
+            count = min(batch, sizes[-1] - b * batch)
+            outer.extend(unit_rows(np.random.default_rng(child), count, dims[drawn[-1]]))
+        grid.append(outer)
     best = 0.0
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        count = min(batch, samples - b * batch)
-        mats = []
-        for k in drawn:
-            z = rng.standard_normal((count, dims[k])) + 1j * rng.standard_normal((count, dims[k]))
-            mats.append(z / np.linalg.norm(z, axis=1, keepdims=True))
-        for s in range(count):
-            factors = [None] * m
-            for k, z in zip(drawn, mats):
-                factors[k] = z[s]
-            if pair is None:
-                c = contract_excluding(T, factors, 1)
-                factors[0] = np.conj(c) / np.linalg.norm(c)
-            else:
-                qubit, other = pair
-                M = np.array([
-                    contract_excluding(T, factors[:qubit] + [e] + factors[qubit + 1:], other + 1)
-                    for e in np.eye(2)
-                ])
-                U, _, Vh = np.linalg.svd(M)
-                factors[qubit], factors[other] = np.conj(U[:, 0]), np.conj(Vh[0])
-            best = max(best, abs(overlap(T, factors)))
+    for point in itertools.product(*grid):
+        factors = [np.ones(1)] * m
+        for k, z in zip(drawn, point):
+            factors[k] = z
+        if pair is None:
+            c = contract_excluding(T, factors, 1)
+            factors[0] = np.conj(c) / np.linalg.norm(c)
+        else:
+            qubit, other = pair
+            M = np.array([
+                contract_excluding(T, factors[:qubit] + [e] + factors[qubit + 1:], other + 1)
+                for e in np.eye(2)
+            ])
+            U, _, Vh = np.linalg.svd(M)
+            factors[qubit], factors[other] = np.conj(U[:, 0]), np.conj(Vh[0])
+        best = max(best, abs(overlap(T, factors)))
     return best
 
 

@@ -492,13 +492,18 @@ class TestOracleCommand:
     def test_bounds_are_judged_on_the_tensors_scale(self, capsys, tmp_path, s):
         # The bounds and the slack scale with the tensor, so example_4_2's
         # interval is consistent and, at 1e-300, still not a point. At 1e200
-        # the tensor's norm overflowed with a RuntimeWarning.
+        # the tensor's norm overflowed with a RuntimeWarning. Six significant
+        # digits keep lambda and the exact upper end readable: with six
+        # decimals they read 0.000000 at 1e-300 and 150 digits at 1e150.
         data = s * catalog.build("example_4_2").tensor.data
         path = tmp_path / "scaled.json"
         path.write_text(json.dumps(tensor_to_json(ComplexTensor(data))))
         code, out, _ = run(capsys, "oracle", "--file", str(path), "--samples", "2000")
         assert code == 0
         assert "MISMATCH" not in out and "certified" not in out
+        shown = f"{s * math.sqrt(1 / 3):#.6g}"  # 5.77350e+149 at 1e150
+        assert f"lambda = {shown}" in out and f", {shown}]  ok" in out
+        assert "0.000000" not in out
 
     def test_invalid_samples_rejected_before_solving(self, capsys, monkeypatch):
         def no_solve(tensor, cfg):

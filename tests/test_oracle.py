@@ -85,12 +85,23 @@ class TestSamplingOracle:
         assert a == b
 
     def test_batching_invariant(self):
-        # 40 * 40 = 1600 leading entries make chunks of 81 samples, so each
-        # batch of 512 (and the last one, of 440) spans several chunks.
-        T = catalog.random_state((40, 40, 3), seed=0).tensor
-        with mock.patch.object(oracle, "_BATCH", 512):
-            value = sampling_oracle(T, samples=3000, seed=4)
-        reference = reference_sampling_bound(T, 3000, seed=4, batch=512)
+        # 300 samples are a 17 x 18 grid, whose last mode's 18 draws come in
+        # batches of 8, 8 and 2; 17 x 2000 entries per draw make chunks of 3
+        # draws, so each full batch spans three chunks.
+        T = catalog.random_state((2000, 3, 3), seed=0).tensor
+        with mock.patch.object(oracle, "_BATCH", 8):
+            value = sampling_oracle(T, samples=300, seed=4)
+        reference = reference_sampling_bound(T, 300, seed=4, batch=8)
+        assert abs(value - reference) <= 1e-12
+
+    def test_capped_inner_grid(self):
+        # 16 x 8000 entries fill a chunk, so the inner grid is capped at 16
+        # points and the last mode takes the rest of the count: 300 samples
+        # are a 16 x 19 grid, in batches of 8, 8 and 3 and chunks of one draw.
+        T = catalog.random_state((8000, 3, 3), seed=0).tensor
+        with mock.patch.object(oracle, "_BATCH", 8):
+            value = sampling_oracle(T, samples=300, seed=4)
+        reference = reference_sampling_bound(T, 300, seed=4, batch=8)
         assert abs(value - reference) <= 1e-12
 
     def test_order_thirteen(self):
@@ -124,6 +135,20 @@ class TestSamplingOracle:
         A = random_tensor(np.random.default_rng(9), dims)
         assert abs(sampling_oracle(A, samples=3, seed=0) - svd_oracle(A)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "catalog_id, bound",
+        [
+            ("example_4_1", 0.8164810721691484),
+            ("example_4_2", 0.5758991442353671),
+            ("trig_2", 0.8894831334522312),
+        ],
+    )
+    def test_one_drawn_mode_keeps_its_draws(self, catalog_id, bound):
+        # With one mode drawn, every draw is one sample from the batch
+        # streams the oracle had before it drew a grid: the bits stay.
+        T = catalog.build(catalog_id).tensor
+        assert sampling_oracle(T, 10_000, 0) == bound
+
     @pytest.mark.parametrize("catalog_id", ["example_4_1", "example_4_2", "trig_2"])
     def test_bound_ratio_with_a_qubit_mode(self, catalog_id):
         # Solving a qubit mode beside mode 1 reaches 1.0000, 0.9975 and
@@ -143,8 +168,9 @@ class TestSamplingOracle:
         ids=["trig_20", "random_24^3"],
     )
     def test_bound_ratio_on_cubes(self, build, ratio):
-        # Solving mode 1 reaches 0.244 and 0.505 here; drawing every factor
-        # reached 0.103 and 0.220, below both thresholds.
+        # A 100 x 100 grid with mode 1 solved reaches 0.234 and 0.520 here;
+        # as many independent samples reached 0.244 and 0.505, and drawing
+        # every factor 0.103 and 0.220, below both thresholds.
         T = build()
         cfg = SolverConfig(algorithm="gauss_seidel", starts=10, seed=0)
         lam = multi_start(T, cfg).best.eigenvalue
@@ -157,6 +183,19 @@ class TestSamplingOracle:
         tracemalloc.start()
         try:
             sampling_oracle(T, samples=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # A 1000 x 1000 grid: a chunk is sized by the grid's 24,000 entries
+        # per draw, not by the first product's 576, and the inner draws
+        # hold 0.4 MB. The peak is near 3.3 MB here.
+        T = catalog.random_state((24, 24, 24), seed=0).tensor
+        tracemalloc.start()
+        try:
+            sampling_oracle(T, samples=1_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
