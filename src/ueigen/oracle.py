@@ -9,9 +9,9 @@ form (a vector norm, or the top singular value of a 2 x n matrix from its
 flattening, so each grid point is the overlap of an explicit product state
 (nothing is drawn, and the bound is exact, for order 1 and order 2 with a
 mode of dim 2); and the flattening interval reads lambda off the singular
-values of the matrix reshapings. The grid's last drawn mode streams in
-batches of ``_BATCH`` draws, each seeded as it is drawn, and one matrix
-product that reads the whole tensor serves every grid point of a draw.
+values of the matrix reshapings. One generator, read in order, draws every
+factor of the grid, and one matrix product that reads the whole tensor
+serves every grid point of a draw of the last drawn mode.
 
 All bounds hold at any finite scale of A: the sampling oracle runs on the
 solvers' conj(A) 2^-e (``tensor._scaled_conj``) and multiplies its bound
@@ -34,7 +34,7 @@ __all__ = [
     "evaluate_oracles",
 ]
 
-_BATCH = 2048  # draws of the last grid mode per batch, one child seed each
+_BATCH = 2048  # caps a chunk's rows of last-mode draws; not a seed boundary
 
 
 @dataclass(frozen=True)
@@ -86,29 +86,25 @@ def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
     No iteration runs, and the bound of 2^k A is bitwise 2^k times A's.
 
     The samples form a product grid: B_k factors per drawn mode, every
-    combination taken once. The B_k differ by at most one, the larger ones
-    on the later modes, and their product is the first to reach
-    ``samples``, so ``samples <= prod B_k < 2 samples``. The inner modes
-    (every drawn mode but the last) are drawn once, from
-    ``default_rng(SeedSequence(seed))``: per mode, in increasing order,
-    real then imaginary normals of shape ``(B_k, d)``. Their grid is held in
-    memory, so when it times the undrawn size would pass the 2 MB chunk,
-    each inner B_k is the largest side whose power fits it and the last
-    mode takes the rest of the count, still within ``[samples, 2
-    samples)``. The last mode is drawn in batches of ``_BATCH``, the last
-    one shorter, each from the next child spawned from
-    ``SeedSequence(seed)`` as it is drawn: real then imaginary normals of
-    shape ``(count, d)``. With one drawn mode each draw is one sample, and
-    the draws are those of independent samples. Draws are not normalized:
-    the value is multilinear in them, so each grid point's squared value is
-    divided once by the product of its factors' squared norms.
+    combination taken once (``_grid_sizes``). The inner modes (every drawn
+    mode but the last) share one side, the largest whose power fits both
+    ``samples`` and, as their grid is held in memory, the 2 MB chunk; the
+    last mode takes the rest of the count, so ``samples <= prod B_k < 2
+    samples``. One ``default_rng(seed)`` draws every factor, read in order:
+    the inner modes in increasing order, then the last mode's draws chunk
+    by chunk, each chunk one array of normals of shape ``(count, 2 d)``
+    read as complex rows. The generator's stream does not depend on where
+    the calls split it, so neither does the bound. Draws are not
+    normalized: the value is multilinear in them, so each grid point's
+    squared value is divided once by the product of its factors' squared
+    norms.
 
-    Each batch is contracted in chunks of its draws: one matrix product of
-    the chunk with ``conj(A)``, its inner modes first and its undrawn modes
-    (qubit mode first) after them, then, from the last inner mode inwards,
-    one matrix product of that mode's B_k draws with each chunk row, which
-    leaves c or M at every grid point. The chunk keeps the widest of these
-    products near 2 MB.
+    Each chunk of at most ``_BATCH`` last-mode draws is contracted by one
+    matrix product with ``conj(A)``, its inner modes first and its undrawn
+    modes (qubit mode first) after them, then, from the last inner mode
+    inwards, one matrix product of that mode's B_k draws with each chunk
+    row, which leaves c or M at every grid point. The chunk keeps the
+    widest of these products near 2 MB.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -127,8 +123,7 @@ def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
     sizes = _grid_sizes(samples, len(drawn), max(1, _CHUNK_ENTRIES // width))
     lead = math.prod(dims) // dims[last]
     conj_t = conj_data.transpose(axes).reshape(lead, dims[last]).T
-    root = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(root)
+    rng = np.random.default_rng(seed)
     grid, grid_norms2 = [], np.ones(1)
     for k, b in zip(inner, sizes):
         z, squares = _complex_normals(rng, b, dims[k])
@@ -138,40 +133,27 @@ def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
     for k, z in zip(reversed(inner), reversed(grid)):
         step = step // dims[k] * len(z)
         widest = max(widest, step)
-    chunk = max(1, _CHUNK_ENTRIES // widest)
+    chunk = max(1, min(_BATCH, _CHUNK_ENTRIES // widest))
     best = 0.0  # the largest squared value
-    for first in range(0, sizes[-1], _BATCH):
-        rng = np.random.default_rng(root.spawn(1)[0])
-        count = min(_BATCH, sizes[-1] - first)
-        outer, norms2 = _complex_normals(rng, count, dims[last])
-        for start in range(0, count, chunk):
-            rows = slice(start, start + chunk)
-            t = outer[rows] @ conj_t
-            tail = width  # entries after mode k's index in a chunk row
-            for k, z in zip(reversed(inner), reversed(grid)):
-                t = z @ t.reshape(len(t), -1, dims[k], tail)
-                tail *= len(z)
-            values = _top_square(t.reshape(-1, width), qubit).reshape(len(t), -1)
-            best = max(best, float(np.max(values / (norms2[rows, None] * grid_norms2))))
+    for first in range(0, sizes[-1], chunk):
+        outer, norms2 = _complex_normals(rng, min(chunk, sizes[-1] - first), dims[last])
+        t = outer @ conj_t
+        tail = width  # entries after mode k's index in a chunk row
+        for k, z in zip(reversed(inner), reversed(grid)):
+            t = z @ t.reshape(len(t), -1, dims[k], tail)
+            tail *= len(z)
+        values = _top_square(t.reshape(-1, width), qubit).reshape(len(t), -1)
+        best = max(best, float(np.max(values / (norms2[:, None] * grid_norms2))))
     return math.sqrt(best) * 2.0**exponent
 
 
 def _grid_sizes(samples: int, n: int, inner_cap: int) -> list[int]:
-    """B_k for n drawn modes: sizes that differ by at most one, the larger
-    ones last, whose product is the first to reach ``samples``. When the
-    first n - 1 multiply to more than ``inner_cap``, each of them is the
-    largest side whose (n - 1)-th power is at most ``inner_cap`` instead.
-    The last is the rest of the count, ceil(samples / prod of the others),
-    so the product stays in [samples, 2 samples)."""
-    sizes = [_root(samples, n)] * n
-    for k in reversed(range(n)):
-        if math.prod(sizes) >= samples:
-            break
-        sizes[k] += 1
-    inner = sizes[:-1]
-    if math.prod(inner) > inner_cap:
-        inner = [_root(inner_cap, n - 1)] * (n - 1)
-    return inner + [-(-samples // math.prod(inner))]
+    """B_k for n drawn modes: the first n - 1 share the largest side whose
+    n-th power is at most ``samples`` and whose (n - 1)-th power is at most
+    ``inner_cap``; the last is the rest of the count, ceil(samples / their
+    product), so the product stays in [samples, 2 samples)."""
+    side = min(_root(samples, n), _root(inner_cap, n - 1)) if n > 1 else 1
+    return [side] * (n - 1) + [-(-samples // side ** (n - 1))]
 
 
 def _root(count: int, n: int) -> int:
@@ -187,12 +169,10 @@ def _root(count: int, n: int) -> int:
 def _complex_normals(
     rng: np.random.Generator, count: int, d: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` complex-normal rows of length ``d``, all real parts drawn
-    before the imaginary ones, and the squared norm of each row."""
-    parts = rng.standard_normal((2, count, d))
-    z = np.empty((count, d), dtype=np.complex128)
-    z.real, z.imag = parts
-    return z, np.einsum("kij,kij->i", parts, parts)
+    """``count`` complex-normal rows of length ``d``, each entry's real and
+    imaginary parts drawn in turn, and the squared norm of each row."""
+    parts = rng.standard_normal((count, 2 * d))
+    return parts.view(np.complex128), np.einsum("ij,ij->i", parts, parts)
 
 
 def _undrawn_modes(dims: tuple[int, ...]) -> list[int]:
@@ -229,19 +209,21 @@ def _flattening_interval(A: ComplexTensor) -> tuple[float, float]:
     subset of the other modes, the columns the rest. A product state stays
     a product state across the split, so each sigma_1 bounds lambda from
     above (Wei & Goldbart, PRA 68, 042307, 2003); a product of basis vectors
-    is a product state, so max|entry| bounds it from below. For order <= 2
-    the one flattening is ``A`` itself (a column for order 1) and sigma_1
-    is exact.
+    is a product state, so max|entry| bounds it from below. A mode of dim 1
+    moves no entry across the split, so only the other modes are split.
+    When at most two modes, mode 0 included, have dim > 1, A is a matrix,
+    a vector or a scalar, and sigma_1 is exact.
     """
-    m = A.order
+    split = [k for k in range(1, A.order) if A.dims[k] > 1]
     upper = math.inf
-    for mask in range(max(1, 2 ** (m - 1) - 1)):
-        rows = [0] + [k for k in range(1, m) if mask >> (k - 1) & 1]
+    for mask in range(max(1, 2 ** len(split) - 1)):
+        rows = [0] + [k for j, k in enumerate(split) if mask >> j & 1]
         matrix = np.moveaxis(A.data, rows, range(len(rows))).reshape(
             math.prod(A.dims[k] for k in rows), -1
         )
         upper = min(upper, float(np.linalg.svd(matrix, compute_uv=False)[0]))
-    lower = upper if m <= 2 else float(np.max(np.abs(A.data)))
+    exact = sum(d > 1 for d in A.dims) <= 2
+    lower = upper if exact else float(np.max(np.abs(A.data)))
     return lower, upper
 
 

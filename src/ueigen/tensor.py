@@ -295,14 +295,19 @@ def tensor_to_json(T: ComplexTensor) -> dict:
 _ENTRY_FORM = '{"idx": [...], "re": x, "im": y}'
 
 
+def _is_int_list(x) -> bool:
+    """Whether ``x`` is a list of ints, booleans excluded."""
+    return isinstance(x, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in x
+    )
+
+
 def _entry_from_json(pos: int, e) -> tuple[tuple[int, ...], complex]:
     """One (index, value) pair of a JSON entry, or a ValueError naming it."""
     if isinstance(e, dict):
         idx, parts = e.get("idx"), (e.get("re", 0.0), e.get("im", 0.0))
-        if (
-            isinstance(idx, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in idx)
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts)
+        if _is_int_list(idx) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
         ):
             return tuple(idx), complex(*parts)
     raise ValueError(f"entries[{pos}] must be {_ENTRY_FORM}, got {json.dumps(e)[:60]}")
@@ -314,6 +319,8 @@ def tensor_from_json(obj: dict | str) -> ComplexTensor:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ValueError("tensor JSON must be an object with a 'dims' field")
+    if not _is_int_list(obj["dims"]):
+        raise ValueError(f"'dims' must be a list of ints, got {json.dumps(obj['dims'])[:60]}")
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f"'entries' must be a list of {_ENTRY_FORM} objects")

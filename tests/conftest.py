@@ -14,7 +14,7 @@ def random_tensor(rng, dims):
     return ComplexTensor(data)
 
 
-def reference_sampling_bound(T, samples, seed, batch):
+def reference_sampling_bound(T, samples, seed):
     """``sampling_oracle`` rebuilt from its documented draws, one explicit
     product state per grid point.
 
@@ -22,22 +22,18 @@ def reference_sampling_bound(T, samples, seed, batch):
     mode q is not drawn either: the largest mode after mode 1 (first on
     ties) when mode 1 has dim 2, else the first mode of dim 2. A mode of
     dim 1 is not drawn; its factor is 1. The r modes left are drawn on a
-    grid of B_k factors each: starting from all ones, the sizes are raised
-    by one at a time, last mode first, round and round, until their product
-    reaches ``samples``. If the first r - 1 then multiply to more than
-    2^17 // (the undrawn size), each is the largest side whose (r-1)-th
-    power is at most that (or 1), and the last is ceil(samples / their
-    product).
-    The first r - 1 modes draw from ``default_rng(SeedSequence(seed))``, the
-    last in batches of ``batch`` from the children of ``SeedSequence(seed)``
-    in turn, each (per mode in increasing order) real then imaginary normals
-    of shape (B_k, d) or (count, d), scaled to unit norm by row. Every
-    combination of one row per drawn mode is a sample. The contraction over
-    the drawn modes, with the qubit mode's factor set to each basis vector
-    in turn, gives the 2 x n matrix M; the undrawn factors are the
-    conjugated top singular pair of M from ``np.linalg.svd``. With mode 1
-    alone undrawn, its factor is conj(c) / ||c|| for c the contraction over
-    the drawn modes. The value is the overlap modulus of that product state.
+    grid of B_k factors each: the first r - 1 share the largest side whose
+    r-th power is at most ``samples`` and whose (r-1)-th power is at most
+    2^17 // (the undrawn size), or 1, and the last is ceil(samples / their
+    product). One ``default_rng(seed)`` draws the modes in increasing
+    order, each as normals of shape (B_k, d, 2), the real and imaginary
+    parts of each entry, scaled to unit norm by row. Every combination of
+    one row per drawn mode is a sample. The contraction over the drawn
+    modes, with the qubit mode's factor set to each basis vector in turn,
+    gives the 2 x n matrix M; the undrawn factors are the conjugated top
+    singular pair of M from ``np.linalg.svd``. With mode 1 alone undrawn,
+    its factor is conj(c) / ||c|| for c the contraction over the drawn
+    modes. The value is the overlap modulus of that product state.
     """
     m, dims = T.order, T.dims
     pair = None
@@ -48,29 +44,19 @@ def reference_sampling_bound(T, samples, seed, batch):
     r = len(drawn)
 
     def unit_rows(rng, count, d):
-        z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        parts = rng.standard_normal((count, d, 2))
+        z = parts[..., 0] + 1j * parts[..., 1]
         return z / np.linalg.norm(z, axis=1, keepdims=True)
 
     grid = []
     if r:
-        sizes, k = [1] * r, r - 1
-        while math.prod(sizes) < samples:
-            sizes[k] += 1
-            k = (k - 1) % r
         cap = max(1, (1 << 17) // math.prod(dims[j] for j in undrawn))
-        if math.prod(sizes[:-1]) > cap:
-            side = 1
-            while (side + 1) ** (r - 1) <= cap:
-                side += 1
-            sizes = [side] * (r - 1) + [-(-samples // side ** (r - 1))]
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        grid = [unit_rows(rng, b, dims[k]) for k, b in zip(drawn[:-1], sizes)]
-        children = np.random.SeedSequence(seed).spawn(-(-sizes[-1] // batch))
-        outer = []
-        for b, child in enumerate(children):
-            count = min(batch, sizes[-1] - b * batch)
-            outer.extend(unit_rows(np.random.default_rng(child), count, dims[drawn[-1]]))
-        grid.append(outer)
+        side = 1
+        while r > 1 and (side + 1) ** r <= samples and (side + 1) ** (r - 1) <= cap:
+            side += 1
+        sizes = [side] * (r - 1) + [-(-samples // side ** (r - 1))]
+        rng = np.random.default_rng(seed)
+        grid = [unit_rows(rng, b, dims[k]) for k, b in zip(drawn, sizes)]
     best = 0.0
     for point in itertools.product(*grid):
         factors = [np.ones(1)] * m

@@ -77,6 +77,16 @@ class TestSolve:
         assert code == 2
         assert 'entries[0] must be {"idx": [...], "re": x, "im": y}, got 0.6' in err
 
+    @pytest.mark.parametrize("dims", [[2.7, 2], [True, 2], "22"])
+    def test_dims_not_a_list_of_ints(self, capsys, tmp_path, dims):
+        # int() of each would read the dims of some other tensor.
+        path = tmp_path / "dims.json"
+        entries = [{"idx": [1, 1], "re": 1.0, "im": 0.0}]
+        path.write_text(json.dumps({"dims": dims, "entries": entries}))
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert "'dims' must be a list of ints" in err
+
     def test_unknown_catalog_id_lists_valid(self, capsys):
         code, _, err = run(capsys, "solve", "--catalog", "nope")
         assert code == 2

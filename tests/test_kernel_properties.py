@@ -103,5 +103,5 @@ def test_sampling_oracle_matches_overlap_reference(dims, samples, batch, seed):
     # A patch, not a fixture: hypothesis rejects function-scoped fixtures.
     with mock.patch.object(oracle, "_BATCH", batch):
         value = sampling_oracle(T, samples, seed=seed)
-    reference = reference_sampling_bound(T, samples, seed, batch)
+    reference = reference_sampling_bound(T, samples, seed)
     assert abs(value - reference) <= 1e-12 * norm(T)

@@ -85,23 +85,25 @@ class TestSamplingOracle:
         assert a == b
 
     def test_batching_invariant(self):
-        # 300 samples are a 17 x 18 grid, whose last mode's 18 draws come in
-        # batches of 8, 8 and 2; 17 x 2000 entries per draw make chunks of 3
-        # draws, so each full batch spans three chunks.
+        # 300 samples are a 17 x 18 grid; 17 x 2000 entries per draw make
+        # chunks of 3 draws (below the cap of 8), so the last mode's 18
+        # draws come from six calls to the generator, the reference's from one.
         T = catalog.random_state((2000, 3, 3), seed=0).tensor
         with mock.patch.object(oracle, "_BATCH", 8):
             value = sampling_oracle(T, samples=300, seed=4)
-        reference = reference_sampling_bound(T, 300, seed=4, batch=8)
+        reference = reference_sampling_bound(T, 300, seed=4)
         assert abs(value - reference) <= 1e-12
 
     def test_capped_inner_grid(self):
         # 16 x 8000 entries fill a chunk, so the inner grid is capped at 16
         # points and the last mode takes the rest of the count: 300 samples
-        # are a 16 x 19 grid, in batches of 8, 8 and 3 and chunks of one draw.
-        T = catalog.random_state((8000, 3, 3), seed=0).tensor
+        # are a 16 x 19 grid, in 19 chunks of one draw. The drawn modes
+        # differ in dim, so an uncapped 17 x 18 grid cannot reuse the
+        # reference's draws and match it.
+        T = catalog.random_state((8000, 3, 4), seed=0).tensor
         with mock.patch.object(oracle, "_BATCH", 8):
             value = sampling_oracle(T, samples=300, seed=4)
-        reference = reference_sampling_bound(T, 300, seed=4, batch=8)
+        reference = reference_sampling_bound(T, 300, seed=4)
         assert abs(value - reference) <= 1e-12
 
     def test_order_thirteen(self):
@@ -135,20 +137,6 @@ class TestSamplingOracle:
         A = random_tensor(np.random.default_rng(9), dims)
         assert abs(sampling_oracle(A, samples=3, seed=0) - svd_oracle(A)) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "catalog_id, bound",
-        [
-            ("example_4_1", 0.8164810721691484),
-            ("example_4_2", 0.5758991442353671),
-            ("trig_2", 0.8894831334522312),
-        ],
-    )
-    def test_one_drawn_mode_keeps_its_draws(self, catalog_id, bound):
-        # With one mode drawn, every draw is one sample from the batch
-        # streams the oracle had before it drew a grid: the bits stay.
-        T = catalog.build(catalog_id).tensor
-        assert sampling_oracle(T, 10_000, 0) == bound
-
     @pytest.mark.parametrize("catalog_id", ["example_4_1", "example_4_2", "trig_2"])
     def test_bound_ratio_with_a_qubit_mode(self, catalog_id):
         # Solving a qubit mode beside mode 1 reaches 1.0000, 0.9975 and
@@ -168,7 +156,7 @@ class TestSamplingOracle:
         ids=["trig_20", "random_24^3"],
     )
     def test_bound_ratio_on_cubes(self, build, ratio):
-        # A 100 x 100 grid with mode 1 solved reaches 0.234 and 0.520 here;
+        # A 100 x 100 grid with mode 1 solved reaches 0.257 and 0.525 here;
         # as many independent samples reached 0.244 and 0.505, and drawing
         # every factor 0.103 and 0.220, below both thresholds.
         T = build()
@@ -178,7 +166,7 @@ class TestSamplingOracle:
         assert ratio * lam <= bound <= lam + 1e-9
 
     def test_peak_memory_is_chunked(self):
-        # Unchunked, the first product of a batch of 2048 peaks at 22 MB here.
+        # Unchunked, the first product of 2048 draws peaks at 22 MB here.
         T = catalog.random_state((24, 24, 24), seed=0).tensor
         tracemalloc.start()
         try:
@@ -191,7 +179,7 @@ class TestSamplingOracle:
     def test_peak_memory_does_not_grow_with_samples(self):
         # A 1000 x 1000 grid: a chunk is sized by the grid's 24,000 entries
         # per draw, not by the first product's 576, and the inner draws
-        # hold 0.4 MB. The peak is near 3.3 MB here.
+        # hold 0.4 MB. The peak is near 2.9 MB here.
         T = catalog.random_state((24, 24, 24), seed=0).tensor
         tracemalloc.start()
         try:
@@ -202,10 +190,9 @@ class TestSamplingOracle:
         assert peak <= 8_000_000
 
     def test_peak_memory_does_not_grow_with_batches(self):
-        # 3,000 batches of one sample: each batch's seed is spawned as it is
-        # drawn, so the peak stays near 6 kB; spawning all 3,000 up front
-        # held about 1.1 MB of seeds. The warm-up keeps numpy's first-call
-        # allocations out of the trace.
+        # 3,000 chunks of one sample: each chunk's draws are made as it is
+        # contracted, from the one generator, so the peak stays near 6 kB.
+        # The warm-up keeps numpy's first-call allocations out of the trace.
         T = example_4_1().tensor
         sampling_oracle(T, samples=1)
         with mock.patch.object(oracle, "_BATCH", 1):
@@ -315,6 +302,15 @@ class TestOracleBounds:
         T = from_array(np.array([0.6, 0.8j]))
         lower, upper = interval(T)
         assert lower == upper == pytest.approx(1.0, abs=1e-15)
+
+    def test_dim_one_modes_are_not_split(self):
+        # Splitting 52 dim-1 modes would take 2^51 - 1 SVDs of 1 x 1
+        # matrices; a tensor with at most two modes of dim > 1 is a matrix,
+        # and its interval is the point sigma_1.
+        assert interval(ComplexTensor(np.ones((1,) * 52))) == (1.0, 1.0)
+        T = random_tensor(np.random.default_rng(10), (3, 1, 4))
+        sigma_1 = float(np.linalg.svd(T.data.reshape(3, 4), compute_uv=False)[0])
+        assert interval(T) == (sigma_1, sigma_1)
 
     def test_example_4_2_upper_bound_is_exact(self):
         # max|entry| is below lambda here; the flattening bound is tight
