@@ -41,14 +41,17 @@ array and lambda a length-K array, so one pass advances every live start,
 and a start leaves the batch when it converges, breaks down, reaches a zero
 eigenvalue (where the shift vanishes too) or a NaN one (an overflow), or
 reaches ``max_iter``. The finished starts are phase-corrected, normalized
-and checked by residual in one stacked pass. Every batched step (the
-stacked contraction, the row dots and norms, the shift) makes, per row, the
-same BLAS call and arithmetic as a lone start, so each start's result is
-bitwise what it is alone, whatever K. ``solve`` and the single-start
+and checked by residual in one stacked pass. Each step builds one right
+chain, A with modes m-1 down to k+1 contracted for every k, and mode k adds
+only its leading products (the trailing half of a dimension tree, Phan,
+Tichavsky & Cichocki 2013). Every batched step (the contractions, the row
+dots and norms, the shift) makes, per row, the same BLAS call and
+arithmetic as a lone start, so each start's result is bitwise what it is
+alone, whatever K. ``solve`` and the single-start
 solvers are the batch of one, through the same start check and finish;
-``multi_start`` runs its starts in chunks that keep the first contraction
-near 2 MB. Each start's trace keeps lambda and the step error as two
-columns; ``IterationTrace.steps`` is derived from them.
+``multi_start`` runs its starts in chunks whose chains hold about 2 MB.
+Each start's trace keeps lambda and the step error as two columns;
+``IterationTrace.steps`` is derived from them.
 
 Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` *and* every vector
@@ -78,8 +81,9 @@ from .tensor import (
     RankOneFactors,
     _as_vectors,
     _check_factor_dims,
-    _contract_excluding,
+    _contract_leading,
     _dot_rows,
+    _right_chain,
     _scaled_conj,
 )
 
@@ -251,11 +255,12 @@ def _check_starts(A: ComplexTensor, algorithm: str, rows: list[np.ndarray]):
 
 def _residuals(conj_data: np.ndarray, eigenvalues, rows: list[np.ndarray]) -> list[float]:
     """Per row j: max over modes k of || contract_excluding(A, x_j, k) -
-    eigenvalues[j] conj(x_j(k)) ||, one stacked contraction per mode, each
-    row bitwise what it is alone."""
+    eigenvalues[j] conj(x_j(k)) ||, read from one right chain, each row
+    bitwise what it is alone."""
     eig = np.array(eigenvalues, dtype=float)[:, None]
+    chain = _right_chain(conj_data, rows)
     norms = [
-        _row_norms(_contract_excluding(conj_data, rows, k) - eig * np.conj(X)).tolist()
+        _row_norms(_contract_leading(chain[k], rows, k) - eig * np.conj(X)).tolist()
         for k, X in enumerate(rows)
     ]
     return [max(0.0, *worst) for worst in zip(*norms)]
@@ -308,8 +313,10 @@ def _iterate(
     c * m * |lam|^2, c starting at ``scale`` and doubling whenever |lam|
     falls; Gauss-Seidel sweeps the modes unshifted. A start stops once its
     step error is below ``tol`` and its largest vector move below
-    ``disp_tol``; embed's blocks move as one vector. Every row is computed
-    as it would be alone. A start leaves the batch when it converges, breaks
+    ``disp_tol``; embed's blocks move as one vector. One ``_right_chain``
+    of the step's first vectors serves every mode: Gauss-Seidel's mode k
+    reads vectors k+1..m-1 before they update. Every row is computed as it
+    would be alone. A start leaves the batch when it converges, breaks
     down, reaches a zero or NaN eigenvalue or reaches ``max_iter``.
 
     Returns, per start, its final vectors, eigenvalue estimate and trace,
@@ -317,8 +324,8 @@ def _iterate(
     """
     live = list(range(len(rows[0])))  # the start of each row
     results: list = [None] * len(live)
-    c0 = _contract_excluding(conj_data, rows, 0)
-    lam = _dot_rows(rows[0], c0)
+    chain = _right_chain(conj_data, rows)
+    lam = _dot_rows(rows[0], _contract_leading(chain[0], rows, 0))
     traces = [IterationTrace([lam_j], [None]) for lam_j in lam.tolist()]
     if record_iterates:
         for j, trace in enumerate(traces):
@@ -342,22 +349,23 @@ def _iterate(
         previous = list(rows)
         if algorithm == "gauss_seidel":
             for i in range(len(rows)):
-                update = lam_col * np.conj(_contract_excluding(conj_data, rows, i) if i else c0)
+                update = lam_col * np.conj(_contract_leading(chain[i], rows, i))
                 what = "update for mode {} vanished at iteration {}"
                 update /= _vanished(_row_norms(update), broken, what, i + 1, k)
                 rows[i] = update
         else:
             shift = (scales * len(rows) * abs_lam**2)[:, None]
             updates = [
-                lam_col * np.conj(_contract_excluding(conj_data, rows, i) if i else c0) + shift * X
+                lam_col * np.conj(_contract_leading(chain[i], rows, i)) + shift * X
                 for i, X in enumerate(rows)
             ]
             squares = [_dot_rows(np.conj(u), u).real.tolist() for u in updates]
             totals = np.array([math.sqrt(sum(sq)) for sq in zip(*squares)])
             total = _vanished(totals, broken, "all update vectors vanished at iteration {}", k)
             rows = [u / total for u in updates]
-        c0 = _contract_excluding(conj_data, rows, 0)
-        lam = _dot_rows(rows[0], c0)
+        del chain  # first, so that two chains are never held at once
+        chain = _right_chain(conj_data, rows)
+        lam = _dot_rows(rows[0], _contract_leading(chain[0], rows, 0))
         lams = lam.tolist()
         abs_new = np.array([abs(lam_j) for lam_j in lams])
         # The safeguard: a start whose |lam| fell by more than rounding
@@ -400,8 +408,8 @@ def _iterate(
             lam = lam[keep]
             abs_lam = abs_lam[keep]
             scales = scales[keep]
-            # An order-1 tensor's contraction reads no vector: one row for all.
-            c0 = c0[keep] if len(c0) == len(keep) else c0
+            # The last link is conj_data[None], one row for all.
+            chain = [t[keep] for t in chain[:-1]] + chain[-1:]
             live = [s for s, kept in zip(live, keep) if kept]
 
     for j in range(len(live)):
@@ -484,8 +492,9 @@ def _solve_batch(
     A: ComplexTensor, cfg: SolverConfig, rows: list[np.ndarray], record_iterates: bool = False,
 ) -> list:
     """Run ``cfg.algorithm`` from K starts, ``rows[i]`` holding their vector
-    i one per row, in chunks that keep the first contraction near 2 MB; per
-    start, its eigenpair or the ``SolverError`` that ended it."""
+    i one per row, in chunks whose chains (sum(prod(dims[:k]), k = 1..m-1)
+    entries a start) hold about 2 MB; per start, its eigenpair or the
+    ``SolverError`` that ended it."""
     _check_starts(A, cfg.algorithm, rows)
     m = A.order
     conj_data, exponent = _scaled_conj(A)
@@ -497,7 +506,7 @@ def _solve_batch(
     # Embed and joint return their iterates rescaled by sqrt(m); settling
     # the iterates m times tighter keeps their accuracy at tol with margin.
     disp_tol = cfg.tol if cfg.algorithm == "gauss_seidel" else cfg.tol / m
-    chunk = max(1, _CHUNK_ENTRIES // math.prod(A.dims[:-1]))
+    chunk = max(1, _CHUNK_ENTRIES // (sum(math.prod(A.dims[:k]) for k in range(1, m)) or 1))
     outcomes = []
     for first in range(0, len(rows[0]), chunk):
         outcomes += _finish(A, cfg, conj_data, _iterate(
@@ -623,11 +632,11 @@ def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
 
     Per-start generators are spawned from SeedSequence(cfg.seed), each
     drawing what ``random_start`` draws. The starts are drawn, checked,
-    iterated and finished together, in chunks that keep the first
-    contraction of a chunk near 2 MB; each start's result is bitwise the one
-    it gets alone, whatever the number of starts, the chunking or the other
-    starts' failures. A failed start is recorded and skipped; the sweep fails
-    only if every start fails. The best eigenpair is the one with the largest
+    iterated and finished together, in chunks whose chains hold about 2 MB
+    (``_solve_batch``); each start's result is bitwise the one it gets
+    alone, whatever the number of starts, the chunking or the other starts'
+    failures. A failed start is recorded and skipped; the sweep fails only if
+    every start fails. The best eigenpair is the one with the largest
     eigenvalue, first occurrence winning ties.
     """
     rngs = [

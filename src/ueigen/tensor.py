@@ -140,8 +140,9 @@ def _check_factor_dims(T: ComplexTensor, vecs, skip: int | None = None):
             raise ValueError(f"factor {i} has length {v.shape[0]}, mode size is {d}")
 
 
-# Complex entries per chunk of a batched first contraction (2 MB): the
-# sampling oracle's samples and the solvers' starts are split to fit it.
+# Complex entries per chunk (2 MB): the sampling oracle's samples are split
+# so that its widest product fits it, the solvers' starts so that their right
+# chains do.
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -183,19 +184,36 @@ def _contract_excluding(conj_data: np.ndarray, rows, k0: int) -> np.ndarray:
 
     ``rows[i]`` holds K mode-i factors as a (K, n_i) array; the result is
     (K, n_k0), or (1, n_k0) for order one, where no factor is read. One
-    stacked matrix-vector product per mode: the trailing modes are
-    contracted from the last one inwards, then the leading modes from the
-    first one, so any order works and ``rows[k0]`` is never read. numpy runs
-    each stacked slice as the BLAS call a lone row makes, so every row of
-    the result is bitwise independent of the other rows and of K.
+    stacked matrix-vector product per mode: the trailing modes from the last
+    one inwards (``_right_chain``'s link k0), then the leading modes from the
+    first one (``_contract_leading``), so any order works and ``rows[k0]`` is
+    never read. numpy runs each stacked slice as the BLAS call a lone row
+    makes, so every row is bitwise independent of the other rows and of K.
     """
     dims = conj_data.shape
     t = conj_data[None]
     for i in range(len(dims) - 1, k0, -1):
         t = t.reshape(len(t), -1, dims[i]) @ rows[i][:, :, None]
+    return _contract_leading(t, rows, k0)
+
+
+def _right_chain(conj_data: np.ndarray, rows) -> list[np.ndarray]:
+    """``chain[k]``: conj_data with modes m-1 down to k+1 contracted against
+    ``rows``, by the products ``_contract_excluding`` makes on the same
+    operands; ``chain[m-1]`` is ``conj_data[None]``, one row for all."""
+    dims = conj_data.shape
+    chain = [conj_data[None]]
+    for i in range(len(dims) - 1, 0, -1):
+        chain.append(chain[-1].reshape(len(chain[-1]), -1, dims[i]) @ rows[i][:, :, None])
+    return chain[::-1]
+
+
+def _contract_leading(t: np.ndarray, rows, k0: int) -> np.ndarray:
+    """Mode k0's contraction from its link ``t`` of ``_right_chain``: modes
+    0..k0-1 contracted against ``rows``, first one first."""
     for i in range(k0):
-        t = rows[i][:, None, :] @ t.reshape(len(t), dims[i], -1)
-    return t.reshape(len(t), dims[k0])
+        t = rows[i][:, None, :] @ t.reshape(len(t), rows[i].shape[1], -1)
+    return t.reshape(len(t), -1)
 
 
 def from_sparse(dims: Sequence[int], entries) -> ComplexTensor:

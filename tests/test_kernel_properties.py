@@ -22,7 +22,12 @@ from ueigen import (  # noqa: E402
     sampling_oracle,
 )
 from ueigen.solvers import _row_norms  # noqa: E402
-from ueigen.tensor import _contract_excluding, _dot_rows  # noqa: E402
+from ueigen.tensor import (  # noqa: E402
+    _contract_excluding,
+    _contract_leading,
+    _dot_rows,
+    _right_chain,
+)
 from conftest import random_tensor, reference_sampling_bound  # noqa: E402
 
 
@@ -89,6 +94,35 @@ def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
         for r in range(starts):
             assert norms[r] == np.linalg.norm(X[r])
             assert squares[r] == np.real(np.vdot(X[r], X[r]))
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    starts=st.integers(1, 4),
+    data=st.data(),
+)
+def test_right_chain_is_bitwise_the_contraction(dims, starts, data):
+    # The solvers read every mode's contraction from one right chain: its
+    # link k and the leading products are the products that
+    # _contract_excluding makes for mode k, on the same operands.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    conj_data = np.conj(random_tensor(rng, tuple(dims)).data)
+    rows = [rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
+            for d in dims]
+    rows = [X / _row_norms(X)[:, None] for X in rows]
+    chain = _right_chain(conj_data, rows)
+    assert len(chain) == len(dims) and chain[-1].shape == (1, *dims)
+    for k in range(len(dims)):
+        assert (_contract_leading(chain[k], rows, k).tobytes()
+                == _contract_excluding(conj_data, rows, k).tobytes())
+    # Rows that leave: the kept links of the chain, the shared last link as
+    # it is, are bitwise the chain of the kept rows.
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=starts, max_size=starts)))
+    hypothesis.assume(keep.any())
+    compressed = [t[keep] for t in chain[:-1]] + chain[-1:]
+    kept = _right_chain(conj_data, [X[keep] for X in rows])
+    assert [t.tobytes() for t in compressed] == [t.tobytes() for t in kept]
 
 
 @hypothesis.settings(derandomize=True, deadline=None)

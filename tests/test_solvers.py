@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
+import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from ueigen import (
     solve_joint,
     zeros,
 )
+from ueigen import solvers
 from ueigen.solvers import _finish, _iterate
 from conftest import random_dims, random_tensor, reference_eigenpair
 
@@ -617,10 +620,11 @@ class TestMultiStart:
         assert "overflowed" in str(results[0])
         assert bits(results[1]) == bits(alone)
 
-    @pytest.mark.parametrize("algorithm", ["gauss_seidel", "joint"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_batched_starts_are_chunked(self, algorithm):
-        # 2^16 entries: chunks of four starts peak at 4.1 MB, one start at a
-        # time at 2.8 MB, all ten starts in one batch at 8.6 MB.
+        # 2^16 entries: a start's right chain holds 1 MiB, so chunks of two
+        # starts peak at 4.6 MiB, one start at a time at 2.8 MiB, all ten
+        # starts in one batch at 18.6 MiB.
         A = catalog.random_state((2,) * 16, 7).tensor
         cfg = SolverConfig(algorithm=algorithm, starts=10, max_iter=3)
         tracemalloc.start()
@@ -630,6 +634,17 @@ class TestMultiStart:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_chunks_of_many_qubits_are_bitwise_solo(self, algorithm):
+        # Sixteen modes: every link of the chain is reused, and the ten
+        # starts run in several chunks, each start bitwise as alone.
+        A = catalog.random_state((2,) * 16, 7).tensor
+        cfg = SolverConfig(algorithm=algorithm, starts=10, max_iter=3)
+        with mock.patch.object(solvers, "_iterate", wraps=solvers._iterate) as spy:
+            result = multi_start(A, cfg)
+        assert spy.call_count > 1
+        assert [bits(r.pair) for r in result.runs] == [bits(p) for p in solo_runs(A, cfg)]
 
     def test_start_conventions(self):
         rng = np.random.default_rng(0)
@@ -663,7 +678,8 @@ def test_finish_matches_the_reference(fixture, algorithm):
 
 
 # Per-start iteration counts of the seed-0, 10-start, tol-1e-9 runs. Any
-# change to the shared iteration loop that moves a bit shows up here.
+# change to the shared iteration loop that moves a bit shows up here. The
+# order-4 to order-6 fixtures read every link of the right chain.
 PINNED_ITERATIONS = {
     ("example_4_1", "embed"): [125, 119, 124, 119, 128, 115, 127, 128, 136, 134],
     ("example_4_1", "joint"): [126, 126, 123, 122, 119, 122, 127, 129, 130, 116],
@@ -671,16 +687,43 @@ PINNED_ITERATIONS = {
     ("example_4_2", "embed"): [74, 72, 104, 83, 72, 77, 75, 67, 73, 76],
     ("example_4_2", "joint"): [76, 68, 80, 67, 74, 72, 85, 71, 73, 67],
     ("example_4_2", "gauss_seidel"): [18, 24, 18, 17, 17, 20, 17, 17, 18, 16],
+    ("example_4_3", "embed"): [143, 156, 166, 156, 192, 169, 404, 220, 173, 171],
+    ("example_4_3", "joint"): [199, 209, 143, 125, 151, 199, 127, 696, 158, 195],
+    ("example_4_3", "gauss_seidel"): [46, 39, 43, 36, 86, 56, 39, 45, 42, 40],
+    ("example_4_6", "embed"): [38, 42, 36, 35, 33, 33, 39, 61, 34, 36],
+    ("example_4_6", "joint"): [38, 37, 39, 36, 34, 36, 45, 35, 35, 41],
+    ("example_4_6", "gauss_seidel"): [9, 5, 7, 6, 7, 5, 8, 9, 6, 6],
+    ("example_4_7", "embed"): [33, 33, 32, 33, 32, 34, 36, 33, 32, 32],
+    ("example_4_7", "joint"): [34, 33, 32, 56, 32, 31, 32, 34, 31, 32],
+    ("example_4_7", "gauss_seidel"): [4, 4, 4, 5, 4, 4, 4, 5, 4, 4],
 }
-PINNED_LAMBDA = {"example_4_1": math.sqrt(2 / 3), "example_4_2": math.sqrt(1 / 3)}
+PINNED_LAMBDA = {
+    "example_4_1": math.sqrt(2 / 3),
+    "example_4_2": math.sqrt(1 / 3),
+    "example_4_6": math.sqrt(2) / 6,
+    "example_4_7": math.sqrt(1 / 3),
+}
+
+
+@functools.cache
+def pinned_run(fixture, algorithm):
+    built = catalog.build(fixture)
+    cfg = SolverConfig(algorithm=algorithm, tol=1e-9, starts=10, seed=0)
+    return multi_start(getattr(built, "tensor", built), cfg)
 
 
 @pytest.mark.parametrize("fixture,algorithm", sorted(PINNED_ITERATIONS))
 def test_pinned_iteration_counts(fixture, algorithm):
-    cfg = SolverConfig(algorithm=algorithm, tol=1e-9, starts=10, seed=0)
-    result = multi_start(catalog.build(fixture).tensor, cfg)
+    result = pinned_run(fixture, algorithm)
     assert [r.pair.iterations for r in result.runs] == PINNED_ITERATIONS[
         fixture, algorithm
     ]
     assert all(r.pair.converged for r in result.runs)
-    assert abs(result.best.eigenvalue - PINNED_LAMBDA[fixture]) <= 1e-12
+    if fixture in PINNED_LAMBDA:
+        assert abs(result.best.eigenvalue - PINNED_LAMBDA[fixture]) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture", sorted({f for f, _ in PINNED_ITERATIONS}))
+def test_pinned_algorithms_agree(fixture):
+    lams = [pinned_run(fixture, algorithm).best.eigenvalue for algorithm in ALGORITHMS]
+    assert max(lams) - min(lams) <= 1e-9
