@@ -57,7 +57,11 @@ Convergence detection: an iteration stops once the eigenvalue-magnitude
 increment | |lam_k| - |lam_{k-1}| | is below ``tol`` *and* every vector
 moved by less than ``tol`` (``tol / m`` for embed and joint) since the
 previous iteration; embed's lambda is lambda_S, and its one vector moves by
-the root sum of squares of its block moves. The displacement condition is
+the root sum of squares of its block moves. The moves are measured mode by
+mode while some start can still stop: the starts whose increment is below
+tol are the candidates, each mode drops those that moved too far, and the
+measuring ends once none is left. A start that stops has had every move
+measured. The displacement condition is
 needed because the eigenvalue estimate is stationary in the iterates: its
 increments fall below tol while the eigenvector error is still near
 sqrt(tol), which would leave residuals orders of magnitude above the
@@ -68,7 +72,6 @@ verified residual exceeds 100 tol max(1, lam) has status ``"stalled"``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -312,8 +315,9 @@ def _iterate(
     contracted with. Joint and embed update in Jacobi order with the shift
     c * m * |lam|^2, c starting at ``scale`` and doubling whenever |lam|
     falls; Gauss-Seidel sweeps the modes unshifted. A start stops once its
-    step error is below ``tol`` and its largest vector move below
-    ``disp_tol``; embed's blocks move as one vector. One ``_right_chain``
+    step error is below ``tol`` and its every vector move below
+    ``disp_tol``; embed's blocks move as one vector. The moves are measured
+    mode by mode, for the starts that can still stop. One ``_right_chain``
     of the step's first vectors serves every mode: Gauss-Seidel's mode k
     reads vectors k+1..m-1 before they update. Every row is computed as it
     would be alone. A start leaves the batch when it converges, breaks
@@ -330,7 +334,7 @@ def _iterate(
     if record_iterates:
         for j, trace in enumerate(traces):
             trace.iterates = [[X[j].copy() for X in rows]]
-    abs_lam = np.array([abs(trace.lams[0]) for trace in traces])
+    abs_lam = [abs(trace.lams[0]) for trace in traces]
     scales = np.full(len(live), float(scale))
 
     def finish(j):
@@ -344,7 +348,7 @@ def _iterate(
         # Rows that cannot update: at a zero eigenvalue the shift is zero
         # too, and after an overflow lambda is NaN. They are removed with
         # the error they raise alone (``_finish`` reports the overflow).
-        broken = {j: finish(j) for j in np.nonzero(~(abs_lam > 0))[0].tolist()}
+        broken = {j: finish(j) for j, a in enumerate(abs_lam) if not a > 0}
         lam_col = lam[:, None]
         previous = list(rows)
         if algorithm == "gauss_seidel":
@@ -354,7 +358,7 @@ def _iterate(
                 update /= _vanished(_row_norms(update), broken, what, i + 1, k)
                 rows[i] = update
         else:
-            shift = (scales * len(rows) * abs_lam**2)[:, None]
+            shift = (scales * len(rows) * np.square(abs_lam))[:, None]
             updates = [
                 lam_col * np.conj(_contract_leading(chain[i], rows, i)) + shift * X
                 for i, X in enumerate(rows)
@@ -367,25 +371,27 @@ def _iterate(
         chain = _right_chain(conj_data, rows)
         lam = _dot_rows(rows[0], _contract_leading(chain[0], rows, 0))
         lams = lam.tolist()
-        abs_new = np.array([abs(lam_j) for lam_j in lams])
+        abs_new = [abs(lam_j) for lam_j in lams]
         # The safeguard: a start whose |lam| fell by more than rounding
         # doubles its c, as the monotone shifted iteration needs.
-        scales[abs_new < (1.0 - _DESCENT_TOL) * abs_lam] *= 2.0
-        step_errors = np.abs(abs_new - abs_lam).tolist()
+        fell = [a < (1.0 - _DESCENT_TOL) * b for a, b in zip(abs_new, abs_lam)]
+        if any(fell):
+            scales[np.array(fell)] *= 2.0
+        step_errors = [abs(a - b) for a, b in zip(abs_new, abs_lam)]
         abs_lam = abs_new
-        # The displacement decides a stop only for a row whose step error is
-        # below tol (about half the steps of a converging run), so it is
-        # computed only when some row's is. min() returns a leading NaN, and
-        # "not >=" then computes it anyway, so a NaN row delays no other.
-        if not min(step_errors) >= tol:
-            moves = [X - P for X, P in zip(rows, previous)]
-            if algorithm == "embed":
-                moves = [np.concatenate(moves, axis=1)]
-            displacements = map(max, zip(*[_row_norms(M).tolist() for M in moves]))
-        else:
-            displacements = itertools.repeat(math.inf)
+        # Stop candidates: step error below tol (NaN never is); each mode's
+        # move then drops those that moved too far, while any are left.
+        stopping = {j for j, e in enumerate(step_errors) if e < tol and j not in broken}
+        moves = zip(rows, previous)
+        if algorithm == "embed" and stopping:
+            moves = [(np.concatenate(rows, axis=1), np.concatenate(previous, axis=1))]
+        for X, P in moves:
+            if not stopping:
+                break
+            disp = _row_norms(X - P).tolist()
+            stopping = {j for j in stopping if disp[j] < disp_tol}
         leaving = []
-        for j, (lam_j, step_error, disp_j) in enumerate(zip(lams, step_errors, displacements)):
+        for j, (lam_j, step_error) in enumerate(zip(lams, step_errors)):
             if j in broken:
                 results[live[j]] = broken[j]
                 leaving.append(j)
@@ -395,7 +401,7 @@ def _iterate(
             trace.step_errors.append(step_error)
             if record_iterates:
                 trace.iterates.append([X[j].copy() for X in rows])
-            if step_error < tol and disp_j < disp_tol:
+            if j in stopping:
                 trace.status = "converged"
                 results[live[j]] = finish(j)
                 leaving.append(j)
@@ -406,7 +412,7 @@ def _iterate(
                 return results
             rows = [X[keep] for X in rows]
             lam = lam[keep]
-            abs_lam = abs_lam[keep]
+            abs_lam = [a for a, kept in zip(abs_lam, keep) if kept]
             scales = scales[keep]
             # The last link is conj_data[None], one row for all.
             chain = [t[keep] for t in chain[:-1]] + chain[-1:]
@@ -494,7 +500,8 @@ def _solve_batch(
     """Run ``cfg.algorithm`` from K starts, ``rows[i]`` holding their vector
     i one per row, in chunks whose chains (sum(prod(dims[:k]), k = 1..m-1)
     entries a start) hold about 2 MB; per start, its eigenpair or the
-    ``SolverError`` that ended it."""
+    ``SolverError`` that ended it. A chunk peaks at its chain plus the last
+    mode's first leading product, prod(dims[1:]) entries a start."""
     _check_starts(A, cfg.algorithm, rows)
     m = A.order
     conj_data, exponent = _scaled_conj(A)
@@ -574,15 +581,16 @@ def _random_rows(
 ) -> list[np.ndarray]:
     """One ``random_start`` per generator, as a (K, n_i) array per vector
     with one start per row: the same draws and, per row, the same
-    normalization, bitwise."""
+    normalization, bitwise: one draw of 2 sum(n_i) normals a start, sliced
+    in its order, as a stream does not depend on how calls split it."""
     sizes = [int(sum(dims))] if algorithm == "embed" else [int(d) for d in dims]
-    re = [np.empty((len(rngs), n)) for n in sizes]
-    im = [np.empty((len(rngs), n)) for n in sizes]
+    parts = np.empty((len(rngs), 2 * sum(sizes)))
     for j, rng in enumerate(rngs):
-        for R, I in zip(re, im):
-            rng.standard_normal(out=R[j])
-            rng.standard_normal(out=I[j])
-    rows = [R + 1j * I for R, I in zip(re, im)]
+        rng.standard_normal(out=parts[j])
+    rows, at = [], 0
+    for n in sizes:  # each vector's real, then imaginary parts
+        rows.append(parts[:, at:at + n] + 1j * parts[:, at + n:at + 2 * n])
+        at += 2 * n
     if algorithm == "joint":
         # RankOneFactors.joint's total: a sum of per-vector vdots.
         totals = np.sqrt([
@@ -596,9 +604,10 @@ def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):
     """Draw a starting point in the normalization the algorithm expects.
 
     Every component has independent standard-normal real and imaginary
-    parts (real parts first, mode by mode); the result is normalized to unit
-    norm for ``embed``, jointly for ``joint``, per vector for
-    ``gauss_seidel``. ``multi_start`` draws its starts as a batch of these.
+    parts (each vector's real, then imaginary parts, mode by mode); the
+    result is normalized to unit norm for ``embed``, jointly for ``joint``,
+    per vector for ``gauss_seidel``. ``multi_start`` draws its starts as a
+    batch of these.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -633,11 +642,12 @@ def multi_start(A: ComplexTensor, cfg: SolverConfig) -> MultiStartResult:
     Per-start generators are spawned from SeedSequence(cfg.seed), each
     drawing what ``random_start`` draws. The starts are drawn, checked,
     iterated and finished together, in chunks whose chains hold about 2 MB
-    (``_solve_batch``); each start's result is bitwise the one it gets
-    alone, whatever the number of starts, the chunking or the other starts'
-    failures. A failed start is recorded and skipped; the sweep fails only if
-    every start fails. The best eigenpair is the one with the largest
-    eigenvalue, first occurrence winning ties.
+    and which peak at the chain plus one leading product (``_solve_batch``);
+    each start's result is bitwise the one it gets alone, whatever the
+    number of starts, the chunking or the other starts' failures. A failed
+    start is recorded and skipped; the sweep fails only if every start
+    fails. The best eigenpair is the one with the largest eigenvalue, first
+    occurrence winning ties.
     """
     rngs = [
         np.random.default_rng(child)

@@ -81,7 +81,7 @@ class RankOneFactors:
         vecs = []
         for v in self.vectors:
             arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("factor entries must be finite")
             arr.flags.writeable = False
             vecs.append(arr)
@@ -142,7 +142,7 @@ def _check_factor_dims(T: ComplexTensor, vecs, skip: int | None = None):
 
 # Complex entries per chunk (2 MB): the sampling oracle's samples are split
 # so that its widest product fits it, the solvers' starts so that their right
-# chains do.
+# chains do; a solver chunk peaks at its chain plus one leading product.
 _CHUNK_ENTRIES = 1 << 17
 
 

@@ -727,3 +727,54 @@ def test_pinned_iteration_counts(fixture, algorithm):
 def test_pinned_algorithms_agree(fixture):
     lams = [pinned_run(fixture, algorithm).best.eigenvalue for algorithm in ALGORITHMS]
     assert max(lams) - min(lams) <= 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["example_4_1", "example_4_3", "example_4_6"])
+@pytest.mark.parametrize("algorithm", ["joint", "gauss_seidel"])
+def test_stop_rule_is_the_eager_rule(fixture, algorithm):
+    # The loop measures moves only while some start can still stop; the
+    # rule it applies is the eager one, recomputed here from the trace. The
+    # trace is in A's units, 2^e times the loop's, which is exact.
+    built = catalog.build(fixture)
+    A = getattr(built, "tensor", built)
+    cfg = SolverConfig(algorithm=algorithm)
+    disp_tol = cfg.tol if algorithm == "gauss_seidel" else cfg.tol / A.order
+    near_misses = 0
+    for child in np.random.SeedSequence(0).spawn(4):
+        start = random_start(np.random.default_rng(child), A.dims, algorithm)
+        trace = solve(A, cfg, start, record_iterates=True).trace
+        passes = []
+        for k in range(1, len(trace.lams)):
+            pairs = zip(trace.iterates[k], trace.iterates[k - 1])
+            moves = [np.linalg.norm(X - P) for X, P in pairs]
+            small_step = trace.step_errors[k] < cfg.tol
+            passes.append(small_step and max(moves) < disp_tol)
+            near_misses += small_step and not passes[-1]
+        if trace.status == "max_iter_reached":
+            assert not any(passes)
+        else:
+            assert passes.index(True) == len(passes) - 1
+    assert near_misses > 0  # the increment passed while a vector still moved
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 3), (1, 4, 2)])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_random_rows_draw_in_the_documented_order(dims, algorithm):
+    # Per start: each vector's real, then imaginary parts, mode by mode, as
+    # separate draws, normalized as random_start's docstring says.
+    def rngs():
+        return [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(3)]
+
+    def reference(rng):
+        sizes = [sum(dims)] if algorithm == "embed" else dims
+        vecs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes]
+        if algorithm == "joint":
+            total = np.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
+            return [v / total for v in vecs]
+        return [v / np.linalg.norm(v) for v in vecs]
+
+    rows = solvers._random_rows(rngs(), dims, algorithm)
+    for j, (rng, solo) in enumerate(zip(rngs(), rngs())):
+        expected = [v.tobytes() for v in reference(rng)]
+        assert [X[j].tobytes() for X in rows] == expected
+        assert [X[0].tobytes() for X in solvers._random_rows([solo], dims, algorithm)] == expected
