@@ -229,9 +229,11 @@ def cmd_tables(args) -> int:
         ) from None
     if not wanted:
         raise InputError(f"--tables names no table: {args.tables!r}")
-    for t in wanted:
+    for i, t in enumerate(wanted):
         if t not in _TABLE_ROWS:
             raise InputError(f"no table {t}; available: {sorted(_TABLE_ROWS)}")
+        if t in wanted[:i]:
+            raise InputError(f"--tables names table {t} more than once")
     # Every row's config is built, and so checked, before anything is printed.
     tables = [
         (t, [(catalog_id, [(name, _config(args, name)) for name in algos])

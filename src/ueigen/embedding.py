@@ -80,7 +80,11 @@ def is_symmetric(S: ComplexTensor, tol: float = 1e-12) -> bool:
 
 def shift_to_embedded(alpha_a: float, m: int) -> float:
     """Shift for the embedded iteration matching a source-side shift:
-    alpha_s = m! (m-1)! alpha_a."""
+    alpha_s = m! (m-1)! alpha_a.
+
+    No solver calls it, as the shift of joint and embed is scale-free. It
+    states the identity between fixed shifts under which the iteration on
+    S is the one on A, which acceptance criterion 7 checks."""
     if alpha_a <= 0:
         raise ValueError(f"shift must be positive, got {alpha_a}")
     if m < 1:

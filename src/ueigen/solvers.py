@@ -86,7 +86,9 @@ from .tensor import (
     _check_factor_dims,
     _contract_leading,
     _dot_rows,
+    _joint_norms,
     _right_chain,
+    _row_norms,
     _scaled_conj,
 )
 
@@ -243,13 +245,12 @@ def _check_starts(A: ComplexTensor, algorithm: str, rows: list[np.ndarray]):
         if rows[0].shape[1] != n:
             raise ValueError(f"start has length {rows[0].shape[1]}, embedding size is {n}")
     # Written as "not within" so that a NaN norm fails too.
-    norms = [_row_norms(X) for X in rows]
     if algorithm == "joint":
-        if not np.all(np.abs(np.sqrt(sum(nrm**2 for nrm in norms)) - 1.0) <= 1e-8):
+        if not np.all(np.abs(_joint_norms(rows) - 1.0) <= 1e-8):
             raise ValueError("start factors must be jointly normalized")
         return
-    for i, nrm in enumerate(norms, start=1):
-        if not np.all(np.abs(nrm - 1.0) <= 1e-8):
+    for i, X in enumerate(rows, start=1):
+        if not np.all(np.abs(_row_norms(X) - 1.0) <= 1e-8):
             raise ValueError(
                 "start vector must have unit norm" if algorithm == "embed"
                 else f"start vector for mode {i} must have unit norm"
@@ -277,14 +278,6 @@ def residual(A: ComplexTensor, pair: UEigenpair) -> float:
     gain = 2.0**exponent
     rows = [v[None] for v in pair.factors.vectors]
     return _residuals(conj_data, [pair.eigenvalue / gain], rows)[0] * gain
-
-
-def _row_norms(U: np.ndarray) -> np.ndarray:
-    """The norm of each row of U, bitwise ``np.linalg.norm`` of the row
-    alone: the same two strided dots (``np.linalg.norm(U, axis=1)`` sums
-    differently)."""
-    re, im = U.real, U.imag
-    return np.sqrt(_dot_rows(re, re) + _dot_rows(im, im))
 
 
 def _vanished(nrm: np.ndarray, broken: dict, what: str, *args) -> np.ndarray:
@@ -363,9 +356,8 @@ def _iterate(
                 lam_col * np.conj(_contract_leading(chain[i], rows, i)) + shift * X
                 for i, X in enumerate(rows)
             ]
-            squares = [_dot_rows(np.conj(u), u).real.tolist() for u in updates]
-            totals = np.array([math.sqrt(sum(sq)) for sq in zip(*squares)])
-            total = _vanished(totals, broken, "all update vectors vanished at iteration {}", k)
+            what = "all update vectors vanished at iteration {}"
+            total = _vanished(_joint_norms(updates), broken, what, k)
             rows = [u / total for u in updates]
         del chain  # first, so that two chains are never held at once
         chain = _right_chain(conj_data, rows)
@@ -592,11 +584,8 @@ def _random_rows(
         rows.append(parts[:, at:at + n] + 1j * parts[:, at + n:at + 2 * n])
         at += 2 * n
     if algorithm == "joint":
-        # RankOneFactors.joint's total: a sum of per-vector vdots.
-        totals = np.sqrt([
-            sum(float(np.real(np.vdot(v, v))) for v in vecs) for vecs in zip(*rows)
-        ])
-        return [X / totals[:, None] for X in rows]
+        totals = _joint_norms(rows)[:, None]
+        return [X / totals for X in rows]
     return [X / _row_norms(X)[:, None] for X in rows]
 
 

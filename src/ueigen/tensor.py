@@ -95,7 +95,7 @@ class RankOneFactors:
         vecs = []
         for v in vectors:
             arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-            nrm = np.linalg.norm(arr)
+            nrm = _row_norms(arr[None])[0]
             if nrm == 0:
                 raise ValueError("cannot normalize a zero factor vector")
             vecs.append(arr / nrm)
@@ -104,8 +104,8 @@ class RankOneFactors:
     @classmethod
     def joint(cls, vectors: Iterable[np.ndarray]) -> "RankOneFactors":
         """Scale all vectors so their squared norms sum to one."""
-        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        total = np.sqrt(sum(float(np.real(np.vdot(v, v))) for v in vecs))
+        vecs = cls(tuple(vectors)).vectors
+        total = _joint_norms([v[None] for v in vecs])[0]
         if total == 0:
             raise ValueError("cannot normalize all-zero factors")
         return cls(tuple(v / total for v in vecs))
@@ -114,7 +114,7 @@ class RankOneFactors:
         return len(self.vectors)
 
     def norms(self) -> tuple[float, ...]:
-        return tuple(float(np.linalg.norm(v)) for v in self.vectors)
+        return tuple(float(_row_norms(v[None])[0]) for v in self.vectors)
 
 
 def _as_vectors(factors) -> tuple[np.ndarray | None, ...]:
@@ -166,6 +166,20 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _row_norms(U: np.ndarray) -> np.ndarray:
+    """The norm of each row of U, bitwise numpy's 2-norm of the row alone:
+    the same two strided dots (its ``axis=1`` form sums differently)."""
+    re, im = U.real, U.imag
+    return np.sqrt(_dot_rows(re, re) + _dot_rows(im, im))
+
+
+def _joint_norms(rows) -> np.ndarray:
+    """Per row j, sqrt(sum_i ||rows[i][j]||^2), ``rows[i]`` holding K vectors
+    one per row: each row's squares summed in Python, bitwise a lone row's."""
+    squares = [_dot_rows(np.conj(X), X).real.tolist() for X in rows]
+    return np.array([math.sqrt(sum(sq)) for sq in zip(*squares)])
+
+
 def _scaled_conj(T: ComplexTensor) -> tuple[np.ndarray, int]:
     """conj(T) 2^-e and e, the binary exponent of max |T| clipped to
     [-1000, 1000]: the largest scaled entry lies in [1/2, 1), so nothing
@@ -178,38 +192,23 @@ def _scaled_conj(T: ComplexTensor) -> tuple[np.ndarray, int]:
     return conj_data, exponent
 
 
-def _contract_excluding(conj_data: np.ndarray, rows, k0: int) -> np.ndarray:
-    """Mode-k0 sums conj(T) * prod_{i != k0} xi, one row per factor row
-    (k0 zero-based).
-
-    ``rows[i]`` holds K mode-i factors as a (K, n_i) array; the result is
-    (K, n_k0), or (1, n_k0) for order one, where no factor is read. One
-    stacked matrix-vector product per mode: the trailing modes from the last
-    one inwards (``_right_chain``'s link k0), then the leading modes from the
-    first one (``_contract_leading``), so any order works and ``rows[k0]`` is
-    never read. numpy runs each stacked slice as the BLAS call a lone row
-    makes, so every row is bitwise independent of the other rows and of K.
-    """
-    dims = conj_data.shape
-    t = conj_data[None]
-    for i in range(len(dims) - 1, k0, -1):
-        t = t.reshape(len(t), -1, dims[i]) @ rows[i][:, :, None]
-    return _contract_leading(t, rows, k0)
-
-
-def _right_chain(conj_data: np.ndarray, rows) -> list[np.ndarray]:
-    """``chain[k]``: conj_data with modes m-1 down to k+1 contracted against
-    ``rows``, by the products ``_contract_excluding`` makes on the same
-    operands; ``chain[m-1]`` is ``conj_data[None]``, one row for all."""
+def _right_chain(conj_data: np.ndarray, rows, stop: int = 0) -> list[np.ndarray]:
+    """``chain[k - stop]``, k = stop..m-1: conj_data with modes m-1 down to
+    k+1 contracted against ``rows[i]``, K mode-i factors as a (K, n_i)
+    array, one stacked matrix-vector product a mode; ``rows[:stop + 1]``
+    are never read, and the last link is ``conj_data[None]``, one row for
+    all. numpy runs each stacked slice as the BLAS call a lone row makes,
+    so every row is bitwise independent of the other rows and of K."""
     dims = conj_data.shape
     chain = [conj_data[None]]
-    for i in range(len(dims) - 1, 0, -1):
+    for i in range(len(dims) - 1, stop, -1):
         chain.append(chain[-1].reshape(len(chain[-1]), -1, dims[i]) @ rows[i][:, :, None])
     return chain[::-1]
 
 
 def _contract_leading(t: np.ndarray, rows, k0: int) -> np.ndarray:
-    """Mode k0's contraction from its link ``t`` of ``_right_chain``: modes
+    """Mode k0's contraction, the (K, n_k0) sums conj(T) * prod_{i != k0} xi
+    (one row for order one), from its link ``t`` of ``_right_chain``: modes
     0..k0-1 contracted against ``rows``, first one first."""
     for i in range(k0):
         t = rows[i][:, None, :] @ t.reshape(len(t), rows[i].shape[1], -1)
@@ -278,7 +277,8 @@ def overlap(T: ComplexTensor, factors) -> complex:
     vecs = _as_vectors(factors)
     _check_factor_dims(T, vecs)
     rows = [v[None] for v in vecs]
-    return complex(_dot_rows(rows[0], _contract_excluding(np.conj(T.data), rows, 0))[0])
+    t = _contract_leading(_right_chain(np.conj(T.data), rows)[0], rows, 0)
+    return complex(_dot_rows(rows[0], t)[0])
 
 
 def contract_excluding(T: ComplexTensor, factors, k: int) -> np.ndarray:
@@ -292,7 +292,7 @@ def contract_excluding(T: ComplexTensor, factors, k: int) -> np.ndarray:
     vecs = _as_vectors(factors)
     _check_factor_dims(T, vecs, skip=k)
     rows = [None if v is None else v[None] for v in vecs]
-    return _contract_excluding(np.conj(T.data), rows, k - 1)[0]
+    return _contract_leading(_right_chain(np.conj(T.data), rows, k - 1)[0], rows, k - 1)[0]
 
 
 def tensor_to_json(T: ComplexTensor) -> dict:

@@ -376,6 +376,12 @@ class TestTables:
         assert "--tables" in err
         assert out == ""
 
+    def test_repeated_table(self, capsys):
+        code, out, err = run(capsys, "tables", "--tables", "2,1,2")
+        assert code == 2
+        assert "--tables names table 2 more than once" in err
+        assert out == ""
+
     def test_invalid_solver_flag_prints_nothing(self, capsys):
         code, out, err = run(capsys, "tables", "--tables", "1", "--tol", "nan")
         assert code == 2

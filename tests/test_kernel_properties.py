@@ -5,6 +5,7 @@ Needs hypothesis; without it this module is skipped and the rest of the
 suite runs unchanged.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -21,12 +22,12 @@ from ueigen import (  # noqa: E402
     rank_one,
     sampling_oracle,
 )
-from ueigen.solvers import _row_norms  # noqa: E402
 from ueigen.tensor import (  # noqa: E402
-    _contract_excluding,
     _contract_leading,
     _dot_rows,
+    _joint_norms,
     _right_chain,
+    _row_norms,
 )
 from conftest import random_tensor, reference_sampling_bound  # noqa: E402
 
@@ -82,9 +83,10 @@ def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
     conj_data = np.conj(random_tensor(rng, tuple(dims)).data)
     rows = [rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
             for d in dims]
+    chain = _right_chain(conj_data, rows)
     for k0, d in enumerate(dims):
         # Order one reads no factor and gives one row for every start.
-        batch = np.broadcast_to(_contract_excluding(conj_data, rows, k0), (starts, d))
+        batch = np.broadcast_to(_contract_leading(chain[k0], rows, k0), (starts, d))
         for r in range(starts):
             vecs = [X[r] for X in rows]
             assert np.array_equal(batch[r], _lone_contraction(conj_data, vecs, k0))
@@ -94,6 +96,9 @@ def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
         for r in range(starts):
             assert norms[r] == np.linalg.norm(X[r])
             assert squares[r] == np.real(np.vdot(X[r], X[r]))
+    joint = _joint_norms(rows)
+    for r in range(starts):
+        assert joint[r] == math.sqrt(sum(float(np.real(np.vdot(X[r], X[r]))) for X in rows))
 
 
 @hypothesis.settings(derandomize=True, deadline=None)
@@ -103,9 +108,9 @@ def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
     data=st.data(),
 )
 def test_right_chain_is_bitwise_the_contraction(dims, starts, data):
-    # The solvers read every mode's contraction from one right chain: its
-    # link k and the leading products are the products that
-    # _contract_excluding makes for mode k, on the same operands.
+    # The solvers read every mode's contraction from one right chain, and
+    # contract_excluding reads mode k's from a chain that stops at k: its
+    # first link is bitwise link k of the full chain.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     conj_data = np.conj(random_tensor(rng, tuple(dims)).data)
     rows = [rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
@@ -114,8 +119,9 @@ def test_right_chain_is_bitwise_the_contraction(dims, starts, data):
     chain = _right_chain(conj_data, rows)
     assert len(chain) == len(dims) and chain[-1].shape == (1, *dims)
     for k in range(len(dims)):
-        assert (_contract_leading(chain[k], rows, k).tobytes()
-                == _contract_excluding(conj_data, rows, k).tobytes())
+        stopped = _right_chain(conj_data, rows, k)
+        assert len(stopped) == len(dims) - k
+        assert stopped[0].tobytes() == chain[k].tobytes()
     # Rows that leave: the kept links of the chain, the shared last link as
     # it is, are bitwise the chain of the kept rows.
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=starts, max_size=starts)))
@@ -123,6 +129,25 @@ def test_right_chain_is_bitwise_the_contraction(dims, starts, data):
     compressed = [t[keep] for t in chain[:-1]] + chain[-1:]
     kept = _right_chain(conj_data, [X[keep] for X in rows])
     assert [t.tobytes() for t in compressed] == [t.tobytes() for t in kept]
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_public_primitives_are_bitwise_lone_rows(dims, seed):
+    # overlap and contract_excluding read the solvers' chain as a batch of
+    # one; the excluded factor may be None, as the chain never reads it.
+    rng = np.random.default_rng(seed)
+    T = random_tensor(rng, tuple(dims))
+    conj_data = np.conj(T.data)
+    f = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+    lone = f[0] @ _lone_contraction(conj_data, f, 0)
+    assert complex(overlap(T, f)) == complex(lone)
+    for k in range(1, len(dims) + 1):
+        vec = contract_excluding(T, f[: k - 1] + [None] + f[k:], k)
+        assert vec.tobytes() == _lone_contraction(conj_data, f, k - 1).tobytes()
 
 
 @hypothesis.settings(derandomize=True, deadline=None)

@@ -142,6 +142,16 @@ class TestStartValidation:
         with pytest.raises(ValueError, match="jointly"):
             solve_joint(ex41.tensor, cfg, unit_vectors(rng, (2, 2, 2)))
 
+    def test_joint_normalization_tolerance(self, ex41):
+        # A joint start is checked to within 1e-8 of unit joint norm.
+        start = random_start(np.random.default_rng(4), (2, 2, 2), "joint")
+        cfg = SolverConfig(algorithm="joint")
+        inside = [(1 + 5e-9) * v for v in start.vectors]
+        assert solve_joint(ex41.tensor, cfg, inside).eigenvalue > 0
+        outside = [(1 + 2e-8) * v for v in start.vectors]
+        with pytest.raises(ValueError, match="jointly normalized"):
+            solve_joint(ex41.tensor, cfg, outside)
+
     def test_gauss_seidel_requires_unit_vectors(self, ex41):
         rng = np.random.default_rng(3)
         cfg = SolverConfig(algorithm="gauss_seidel")

@@ -288,3 +288,19 @@ class TestRankOneFactors:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             RankOneFactors.per_vector([np.zeros(2, dtype=complex)])
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 3, 4), (7, 1, 5), (33, 2)])
+    def test_norms_are_bitwise_the_inline_formulas(self, dims):
+        # The row kernels stand in for np.linalg.norm and a sum of vdots.
+        rng = np.random.default_rng(15)
+        raw = [10.0 ** rng.integers(-5, 5) * rng.standard_normal(d)
+               + 1j * rng.standard_normal(d) for d in dims]
+        per_vector = RankOneFactors.per_vector(raw)
+        assert [v.tobytes() for v in per_vector.vectors] == [
+            (x / np.linalg.norm(x)).tobytes() for x in raw
+        ]
+        total = np.sqrt(sum(float(np.real(np.vdot(x, x))) for x in raw))
+        joint = RankOneFactors.joint(raw)
+        assert [v.tobytes() for v in joint.vectors] == [(x / total).tobytes() for x in raw]
+        for f in (per_vector, joint, RankOneFactors(tuple(raw))):
+            assert f.norms() == tuple(float(np.linalg.norm(v)) for v in f.vectors)
