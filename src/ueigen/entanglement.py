@@ -49,9 +49,11 @@ def gme_from_lambda(lambda_max: float) -> float:
     """Geometric measure from the largest eigenvalue: sqrt(2 - 2 lambda).
 
     ``lambda_max`` must lie in (0, 1] up to a 1e-10 rounding allowance
-    (values just above 1 are clamped); anything else signals a
-    non-normalized state or a solver failure.
+    (values just above 1 are clamped); anything else, NaN included, signals
+    a non-normalized state or a solver failure.
     """
+    if not math.isfinite(lambda_max):
+        raise ValueError(f"largest eigenvalue must be finite, got {lambda_max}")
     if lambda_max <= 0:
         raise ValueError(f"largest eigenvalue must be positive, got {lambda_max}")
     if lambda_max > 1.0 + 1e-10:

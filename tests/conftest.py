@@ -77,6 +77,25 @@ def reference_sampling_bound(T, samples, seed):
     return best
 
 
+def reference_flattening_interval(T):
+    """The flattening interval from every split, each sigma_1 from LAPACK's
+    SVD of a flattening of ``T`` itself. The rows are mode 0 and each
+    subset of the later modes of dim > 1 but the whole set. With at most
+    two modes of dim > 1 the interval is the point min sigma_1; otherwise
+    its lower end is max|entry|."""
+    split = [k for k in range(1, T.order) if T.dims[k] > 1]
+    upper = math.inf
+    for mask in range(max(1, 2 ** len(split) - 1)):
+        rows = [0] + [k for j, k in enumerate(split) if mask >> j & 1]
+        matrix = np.moveaxis(T.data, rows, range(len(rows))).reshape(
+            math.prod(T.dims[k] for k in rows), -1
+        )
+        upper = min(upper, float(np.linalg.svd(matrix, compute_uv=False)[0]))
+    exact = sum(d > 1 for d in T.dims) <= 2
+    lower = upper if exact else float(np.max(np.abs(T.data)))
+    return lower, upper
+
+
 def reference_eigenpair(T, algorithm, tol, iterate, lam, status):
     """The solvers' finish rebuilt from its documentation, one start alone.
 

@@ -34,6 +34,12 @@ class TestGmeFromLambda:
         with pytest.raises(ValueError):
             gme_from_lambda(-0.3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        # NaN fails both comparisons, so it must be caught on its own
+        with pytest.raises(ValueError, match="finite"):
+            gme_from_lambda(value)
+
     def test_rejects_above_one(self):
         with pytest.raises(ValueError, match="exceeds 1"):
             gme_from_lambda(1.001)

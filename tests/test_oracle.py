@@ -17,8 +17,8 @@ from ueigen import (
     svd_oracle,
 )
 from ueigen import catalog, oracle
-from ueigen.catalog import example_4_1, example_4_2, example_4_7
-from conftest import random_tensor, reference_sampling_bound
+from ueigen.catalog import example_4_1, example_4_2, example_4_7, trig_tensor
+from conftest import random_tensor, reference_flattening_interval, reference_sampling_bound
 
 
 def interval(T):
@@ -328,3 +328,59 @@ class TestOracleBounds:
             lam = multi_start(T, cfg).best.eigenvalue
             lower, upper = interval(T)
             assert lower - 1e-9 <= lam <= upper + 1e-9
+
+
+def _ghz(n):
+    data = np.zeros((2,) * n, dtype=complex)
+    data[(0,) * n] = data[(1,) * n] = 1 / math.sqrt(2)
+    return ComplexTensor(data)
+
+
+class TestFlatteningInterval:
+    """The interval from Gram matrices of the scaled tensor, against the
+    every-split LAPACK loop of ``reference_flattening_interval``."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600, 1e200, 1e-300])
+    def test_matches_every_split_reference(self, scale):
+        # Random dims of 1 to 4, so dim-1 modes anywhere, and three inputs
+        # whose splits tie: every flattening of GHZ has sigma_1 = 1/sqrt(2),
+        # and example_4_7's interval is the point max|entry|. On the tensor
+        # itself the Gram matrix would overflow at 1e200 and underflow at
+        # 1e-300.
+        rng = np.random.default_rng(31)
+        tensors = [
+            random_tensor(rng, tuple(int(d) for d in rng.integers(1, 5, size=order)))
+            for order in (1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5) * 4
+        ]
+        tensors += [trig_tensor(5).tensor, example_4_7(), _ghz(5)]
+        for T in tensors:
+            T = ComplexTensor(T.data * scale)
+            lower, upper = interval(T)
+            ref_lower, ref_upper = reference_flattening_interval(T)
+            assert lower <= upper
+            if sum(d > 1 for d in T.dims[1:]) <= 1:
+                # one flattening in both: the same LAPACK SVD
+                assert (lower, upper) == (ref_lower, ref_upper)
+                continue
+            assert abs(upper - ref_upper) <= 1e-14 * ref_upper
+            if sum(d > 1 for d in T.dims) <= 2:
+                # A matrix behind a leading dim-1 mode: one SVD here, the
+                # least of three (both orientations and the 1 x n row) there.
+                assert lower == upper
+            else:
+                assert lower == ref_lower
+
+    def test_windows_above_the_budget(self):
+        # Haar 2^8 has 127 splits. Below that budget the interval takes
+        # the 28 contiguous cyclic windows: a subfamily, so the same lower
+        # end and an upper end no lower than the least over every split.
+        # Here it is wider, so the windows miss the least split.
+        T = catalog.random_state((2,) * 8, seed=0).tensor
+        ref_lower, ref_upper = reference_flattening_interval(T)
+        assert abs(interval(T)[1] - ref_upper) <= 1e-14 * ref_upper
+        with mock.patch.object(oracle, "_SPLIT_BUDGET", 126):
+            assert len(list(oracle._splits(8))) == 28
+            lower, upper = interval(T)
+        assert lower == ref_lower
+        assert upper > ref_upper * (1 + 1e-3)
