@@ -92,6 +92,25 @@ def _config(args, name: str) -> SolverConfig:
     return SolverConfig(**{**flags, "algorithm": _ALGO_FLAGS[name]})
 
 
+def _comma_list(flag: str, text: str, noun: str, choices, convert) -> list:
+    """The items of ``flag``'s comma-separated ``text``, each ``convert``ed,
+    in ``choices`` and named once; anything else is an ``InputError``."""
+    items = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        try:
+            item = convert(part)
+        except ValueError:
+            item = part
+        if item not in choices:
+            raise InputError(f"{flag} names unknown {noun} {part!r}; choose from {sorted(choices)}")
+        if item in items:
+            raise InputError(f"{flag} names {noun} {item!r} more than once")
+        items.append(item)
+    if not items:
+        raise InputError(f"{flag} names no {noun}: {text!r}")
+    return items
+
+
 def _gme_if_state(tensor: ComplexTensor, eigenvalue: float) -> float | None:
     """GME when ``tensor`` is a unit-norm state, else None. An eigenvalue
     above 1 on a state is a solver fault and raises ``SolverError``."""
@@ -158,14 +177,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     tensor, _ = _load_tensor(args)
-    names = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if not names:
-        raise InputError(f"--algos names no algorithm: {args.algos!r}")
-    for i, name in enumerate(names):
-        if name not in _ALGO_FLAGS:
-            raise InputError(f"unknown algorithm {name!r}; choose from {sorted(_ALGO_FLAGS)}")
-        if name in names[:i]:
-            raise InputError(f"--algos names {name!r} more than once")
+    names = _comma_list("--algos", args.algos, "algorithm", _ALGO_FLAGS, str)
     rows = []
     for name in names:
         try:
@@ -220,20 +232,7 @@ _TABLE_ROWS: dict[int, list[tuple[str, list[str]]]] = {
 
 
 def cmd_tables(args) -> int:
-    try:
-        wanted = sorted(int(t) for t in args.tables.split(",") if t.strip())
-    except ValueError:
-        raise InputError(
-            f"--tables takes comma-separated table numbers, got {args.tables!r}; "
-            f"available: {sorted(_TABLE_ROWS)}"
-        ) from None
-    if not wanted:
-        raise InputError(f"--tables names no table: {args.tables!r}")
-    for i, t in enumerate(wanted):
-        if t not in _TABLE_ROWS:
-            raise InputError(f"no table {t}; available: {sorted(_TABLE_ROWS)}")
-        if t in wanted[:i]:
-            raise InputError(f"--tables names table {t} more than once")
+    wanted = sorted(_comma_list("--tables", args.tables, "table", _TABLE_ROWS, int))
     # Every row's config is built, and so checked, before anything is printed.
     tables = [
         (t, [(catalog_id, [(name, _config(args, name)) for name in algos])

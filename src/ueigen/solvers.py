@@ -5,8 +5,9 @@ lambda with per-mode unit eigenvectors x(1..m) satisfying, for every mode k,
 
     contract_excluding(A, x, k) = lambda * conj(x(k)),
 
-through one loop, ``_iterate``: x_hat = lambda_prev * (conjugated
-contraction) + alpha_k * x, then renormalize. One switch picks Jacobi order
+through one loop, ``_iterate``, whose update rule is one function,
+``_update``: x_hat = lambda_prev * (conjugated contraction) + alpha_k * x,
+then renormalize. One switch, read only in ``_update``, picks Jacobi order
 with joint rescaling (squared norms summing to one) or Gauss-Seidel order
 with per-vector normalization (later updates of a sweep read earlier ones):
 
@@ -40,11 +41,16 @@ and checked as one batch. In the loop each mode's iterate is a (K, n_i)
 array and lambda a length-K array, so one pass advances every live start,
 and a start leaves the batch when it converges, breaks down, reaches a zero
 eigenvalue (where the shift vanishes too) or a NaN one (an overflow), or
-reaches ``max_iter``. The finished starts are phase-corrected, normalized
-and checked by residual in one stacked pass. Each step builds one right
-chain, A with modes m-1 down to k+1 contracted for every k, and mode k adds
-only its leading products (the trailing half of a dimension tree, Phan,
-Tichavsky & Cichocki 2013). Every batched step (the contractions, the row
+reaches ``max_iter``. The loop keeps this bookkeeping, the shift safeguard
+and the stop rule; ``_update`` only maps each step's rows to the next. The
+finished starts are phase-corrected, normalized and checked by residual in
+one stacked pass. Each step builds one right chain, A with modes m-1 down
+to k+1 contracted for every k, and mode k adds only its leading products
+(the trailing half of a dimension tree, Phan, Tichavsky & Cichocki 2013).
+One kernel, ``tensor._overlaps``, builds the chain and reads lambda from
+its link 0, for the loop's start, every step and ``overlap`` alike; the
+loop drops the old chain first, so two are never held at once. Every
+batched step (the contractions, the row
 dots and norms, the shift) makes, per row, the same BLAS call and
 arithmetic as a lone start, so each start's result is bitwise what it is
 alone, whatever K. ``solve`` and the single-start
@@ -73,6 +79,7 @@ verified residual exceeds 100 tol max(1, lam) has status ``"stalled"``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -85,8 +92,8 @@ from .tensor import (
     _as_vectors,
     _check_factor_dims,
     _contract_leading,
-    _dot_rows,
     _joint_norms,
+    _overlaps,
     _right_chain,
     _row_norms,
     _scaled_conj,
@@ -132,6 +139,15 @@ class BreakdownError(SolverError):
     so normalization is undefined."""
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, booleans excluded."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings shared by all algorithms.
@@ -158,6 +174,12 @@ class SolverConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("max_iter", "starts", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.starts < 1:
@@ -273,7 +295,9 @@ def _residuals(conj_data: np.ndarray, eigenvalues, rows: list[np.ndarray]) -> li
 def residual(A: ComplexTensor, pair: UEigenpair) -> float:
     """Max over modes of || contract_excluding(A, x, k) - lambda conj(x(k)) ||:
     ``_finish``'s residual for one pair, on conj(A) 2^-e and scaled back, so
-    finite at any scale of A and bitwise a solver's ``pair.residual``."""
+    finite at any scale of A and bitwise a solver's ``pair.residual``. Factors
+    that do not match A's order and dims raise ``ValueError``."""
+    _check_factor_dims(A, pair.factors.vectors)
     conj_data, exponent = _scaled_conj(A)
     gain = 2.0**exponent
     rows = [v[None] for v in pair.factors.vectors]
@@ -291,6 +315,33 @@ def _vanished(nrm: np.ndarray, broken: dict, what: str, *args) -> np.ndarray:
     return nrm[:, None]
 
 
+def _update(algorithm: str, chain: list, rows: list[np.ndarray], lam: np.ndarray,
+            abs_lam: list[float], scales: np.ndarray, ending: dict, k: int) -> list:
+    """Step k's new rows from ``rows``, their right ``chain``, lam, |lam| and
+    shift scales c. Gauss-Seidel sweeps unshifted, each vector normalized at
+    once and read by the later modes, mode i reading the chain's old
+    vectors i+1..m-1; joint and embed update every mode from ``rows`` with
+    the shift c * m * |lam|^2 and normalize jointly. A row whose update
+    vanished gets its ``BreakdownError`` in ``ending``."""
+    lam_col = lam[:, None]
+    if algorithm == "gauss_seidel":
+        new = []
+        for i in range(len(rows)):
+            update = lam_col * np.conj(_contract_leading(chain[i], new, i))
+            what = "update for mode {} vanished at iteration {}"
+            update /= _vanished(_row_norms(update), ending, what, i + 1, k)
+            new.append(update)
+        return new
+    shift = (scales * len(rows) * np.square(abs_lam))[:, None]
+    updates = [
+        lam_col * np.conj(_contract_leading(chain[i], rows, i)) + shift * X
+        for i, X in enumerate(rows)
+    ]
+    what = "all update vectors vanished at iteration {}"
+    total = _vanished(_joint_norms(updates), ending, what, k)
+    return [u / total for u in updates]
+
+
 def _iterate(
     conj_data: np.ndarray,
     rows: list[np.ndarray],
@@ -305,24 +356,22 @@ def _iterate(
 
     ``rows[i]`` holds the mode-i vectors of the starts, one per row (embed's
     blocks for embed), and ``conj_data`` is the conjugated tensor they are
-    contracted with. Joint and embed update in Jacobi order with the shift
-    c * m * |lam|^2, c starting at ``scale`` and doubling whenever |lam|
-    falls; Gauss-Seidel sweeps the modes unshifted. A start stops once its
-    step error is below ``tol`` and its every vector move below
-    ``disp_tol``; embed's blocks move as one vector. The moves are measured
-    mode by mode, for the starts that can still stop. One ``_right_chain``
-    of the step's first vectors serves every mode: Gauss-Seidel's mode k
-    reads vectors k+1..m-1 before they update. Every row is computed as it
-    would be alone. A start leaves the batch when it converges, breaks
-    down, reaches a zero or NaN eigenvalue or reaches ``max_iter``.
+    contracted with. Each step's new rows come from ``_update``, and each
+    iterate's right chain and lam from ``tensor._overlaps``. The loop keeps
+    the rest. Each start's c starts at ``scale`` and doubles whenever |lam|
+    falls. A start stops once its step error is below ``tol`` and its every
+    vector move below ``disp_tol``; embed's blocks move as one vector, and
+    the moves are measured mode by mode, for the starts that can still
+    stop. Every row is computed as it would be alone. A start leaves the
+    batch when it converges, breaks down, reaches a zero or NaN eigenvalue
+    or reaches ``max_iter``.
 
     Returns, per start, its final vectors, eigenvalue estimate and trace,
     or the ``SolverError`` that ended it.
     """
     live = list(range(len(rows[0])))  # the start of each row
     results: list = [None] * len(live)
-    chain = _right_chain(conj_data, rows)
-    lam = _dot_rows(rows[0], _contract_leading(chain[0], rows, 0))
+    chain, lam = _overlaps(conj_data, rows)
     traces = [IterationTrace([lam_j], [None]) for lam_j in lam.tolist()]
     if record_iterates:
         for j, trace in enumerate(traces):
@@ -338,30 +387,13 @@ def _iterate(
         return [X[j].copy() for X in rows], lam_j, traces[live[j]]
 
     for k in range(1, max_iter + 1):
-        # Rows that cannot update: at a zero eigenvalue the shift is zero
-        # too, and after an overflow lambda is NaN. They are removed with
-        # the error they raise alone (``_finish`` reports the overflow).
-        broken = {j: finish(j) for j, a in enumerate(abs_lam) if not a > 0}
-        lam_col = lam[:, None]
-        previous = list(rows)
-        if algorithm == "gauss_seidel":
-            for i in range(len(rows)):
-                update = lam_col * np.conj(_contract_leading(chain[i], rows, i))
-                what = "update for mode {} vanished at iteration {}"
-                update /= _vanished(_row_norms(update), broken, what, i + 1, k)
-                rows[i] = update
-        else:
-            shift = (scales * len(rows) * np.square(abs_lam))[:, None]
-            updates = [
-                lam_col * np.conj(_contract_leading(chain[i], rows, i)) + shift * X
-                for i, X in enumerate(rows)
-            ]
-            what = "all update vectors vanished at iteration {}"
-            total = _vanished(_joint_norms(updates), broken, what, k)
-            rows = [u / total for u in updates]
+        # The rows that end this step, with their outcomes: first those that
+        # cannot update, at a zero eigenvalue (the shift is zero too) or a
+        # NaN one after an overflow (``_finish`` reports it), as if alone.
+        ending = {j: finish(j) for j, a in enumerate(abs_lam) if not a > 0}
+        previous, rows = rows, _update(algorithm, chain, rows, lam, abs_lam, scales, ending, k)
         del chain  # first, so that two chains are never held at once
-        chain = _right_chain(conj_data, rows)
-        lam = _dot_rows(rows[0], _contract_leading(chain[0], rows, 0))
+        chain, lam = _overlaps(conj_data, rows)
         lams = lam.tolist()
         abs_new = [abs(lam_j) for lam_j in lams]
         # The safeguard: a start whose |lam| fell by more than rounding
@@ -373,7 +405,7 @@ def _iterate(
         abs_lam = abs_new
         # Stop candidates: step error below tol (NaN never is); each mode's
         # move then drops those that moved too far, while any are left.
-        stopping = {j for j, e in enumerate(step_errors) if e < tol and j not in broken}
+        stopping = {j for j, e in enumerate(step_errors) if e < tol and j not in ending}
         moves = zip(rows, previous)
         if algorithm == "embed" and stopping:
             moves = [(np.concatenate(rows, axis=1), np.concatenate(previous, axis=1))]
@@ -382,11 +414,8 @@ def _iterate(
                 break
             disp = _row_norms(X - P).tolist()
             stopping = {j for j in stopping if disp[j] < disp_tol}
-        leaving = []
         for j, (lam_j, step_error) in enumerate(zip(lams, step_errors)):
-            if j in broken:
-                results[live[j]] = broken[j]
-                leaving.append(j)
+            if j in ending:
                 continue
             trace = traces[live[j]]
             trace.lams.append(lam_j)
@@ -395,11 +424,12 @@ def _iterate(
                 trace.iterates.append([X[j].copy() for X in rows])
             if j in stopping:
                 trace.status = "converged"
-                results[live[j]] = finish(j)
-                leaving.append(j)
-        if leaving:
+                ending[j] = finish(j)
+        if ending:
+            for j, outcome in ending.items():
+                results[live[j]] = outcome
             keep = np.ones(len(live), dtype=bool)
-            keep[leaving] = False
+            keep[list(ending)] = False
             if not keep.any():
                 return results
             rows = [X[keep] for X in rows]

@@ -215,6 +215,13 @@ def _contract_leading(t: np.ndarray, rows, k0: int) -> np.ndarray:
     return t.reshape(len(t), -1)
 
 
+def _overlaps(conj_data: np.ndarray, rows) -> tuple[list[np.ndarray], np.ndarray]:
+    """The ``_right_chain`` of ``rows`` and each row's overlap, read from its
+    link 0: ``overlap``'s kernel and every eigenvalue estimate of the solvers."""
+    chain = _right_chain(conj_data, rows)
+    return chain, _dot_rows(rows[0], _contract_leading(chain[0], rows, 0))
+
+
 def from_sparse(dims: Sequence[int], entries) -> ComplexTensor:
     """Build a dense tensor from 1-based (multi-index, value) entries.
 
@@ -276,9 +283,7 @@ def overlap(T: ComplexTensor, factors) -> complex:
     """
     vecs = _as_vectors(factors)
     _check_factor_dims(T, vecs)
-    rows = [v[None] for v in vecs]
-    t = _contract_leading(_right_chain(np.conj(T.data), rows)[0], rows, 0)
-    return complex(_dot_rows(rows[0], t)[0])
+    return complex(_overlaps(np.conj(T.data), [v[None] for v in vecs])[1][0])
 
 
 def contract_excluding(T: ComplexTensor, factors, k: int) -> np.ndarray:

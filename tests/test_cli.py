@@ -292,6 +292,21 @@ class TestBench:
         assert out == ""
 
 
+class TestSolverFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--starts", "2.5"), ("--max-iter", "3.5"), ("--seed", "1.5"),
+        ("--starts", "True"), ("--seed", "-1"),
+    ])
+    def test_bad_integer_flag_exits_2(self, capsys, flag, value):
+        # argparse rejects the non-integers, SolverConfig the negative seed.
+        try:
+            code = main(["solve", "--catalog", "example_4_1", flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestEmbed:
     def test_two_by_two(self, capsys, tmp_path):
         path = tmp_path / "m.json"

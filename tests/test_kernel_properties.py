@@ -15,12 +15,16 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from ueigen import (  # noqa: E402
+    ComplexTensor,
+    SolverConfig,
     contract_excluding,
     norm,
     oracle,
     overlap,
+    random_start,
     rank_one,
     sampling_oracle,
+    solve,
 )
 from ueigen.tensor import (  # noqa: E402
     _contract_leading,
@@ -148,6 +152,28 @@ def test_public_primitives_are_bitwise_lone_rows(dims, seed):
     for k in range(1, len(dims) + 1):
         vec = contract_excluding(T, f[: k - 1] + [None] + f[k:], k)
         assert vec.tobytes() == _lone_contraction(conj_data, f, k - 1).tobytes()
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    algorithm=st.sampled_from(["gauss_seidel", "joint"]),
+    k=st.integers(-600, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_lambda_is_the_overlap(dims, algorithm, k, seed):
+    # The loop's first lambda and overlap come from one kernel,
+    # tensor._overlaps: bitwise equal on A, and 2^k times it on 2^k A, whose
+    # loop runs on the same scaled copy of A.
+    rng = np.random.default_rng(seed)
+    T = random_tensor(rng, tuple(dims))
+    start = random_start(rng, T.dims, algorithm)
+    cfg = SolverConfig(algorithm=algorithm, max_iter=1)
+    value = overlap(T, start)
+    assert solve(T, cfg, start).trace.lams[0] == value
+    scaled = ComplexTensor(np.ldexp(T.data.view(float), k).view(complex))
+    assert overlap(scaled, start) == 2.0**k * value
+    assert solve(scaled, cfg, start).trace.lams[0] == 2.0**k * value
 
 
 @hypothesis.settings(derandomize=True, deadline=None)

@@ -187,6 +187,23 @@ class TestStartValidation:
                 with pytest.raises(ValueError, match=name):
                     SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("starts", 2.5, "starts must be an integer"),
+        ("max_iter", 3.5, "max_iter must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("starts", True, "starts must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_config_rejects_bad_integer_fields(self, name, value, message):
+        # These used to construct, and multi_start then raised TypeError
+        # from range or SeedSequence, or ran one start for starts=True.
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{name: value})
+
+    def test_config_takes_numpy_integers(self, ex41):
+        cfg = SolverConfig(starts=np.int64(2), max_iter=np.int32(50), seed=np.uint8(3))
+        assert len(multi_start(ex41.tensor, cfg).runs) == 2
+
 
 class TestEmbedMemory:
     # The embedding S has (sum dims)^m entries: 13 MB for example_4_7 and
@@ -217,6 +234,17 @@ class TestResidual:
         f = RankOneFactors.per_vector(unit_vectors(rng, (3, 2)))
         A = rank_one(f)
         assert residual_at(A, 1.0, f.vectors) <= 1e-14
+
+    def test_pair_dims_are_checked(self, ex41):
+        # They used to raise numpy's matmul core-dimension mismatch and an
+        # IndexError.
+        vecs = [np.ones(d) / math.sqrt(d) for d in (2, 3, 3)]
+        with pytest.raises(ValueError, match="factor 2 has length 3, mode size is 2"):
+            residual_at(ex41.tensor, 1.0, vecs)
+        built = catalog.build("example_4_7")
+        A = getattr(built, "tensor", built)
+        with pytest.raises(ValueError, match="expected 4 factor vectors, got 3"):
+            residual_at(A, 1.0, vecs)
 
     def test_perturbation_detected(self, ex41, ex41_solved):
         pair = ex41_solved.best
