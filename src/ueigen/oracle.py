@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CHUNK_ENTRIES, ComplexTensor, _scaled_conj
+from .tensor import _CHUNK_ENTRIES, ComplexTensor, _is_integer, _scaled_conj
 
 __all__ = [
     "OracleResult",
@@ -119,6 +119,9 @@ def sampling_oracle(A: ComplexTensor, samples: int, seed: int = 0) -> float:
     row, which leaves c or M at every grid point. The chunk keeps the
     widest of these products near 2 MB.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     conj_data, exponent = _scaled_conj(A)

@@ -37,12 +37,13 @@ checked by one residual rule below.
 
 A run is a batch of K starts from end to end. The starts are drawn (each
 from its own generator, as ``random_start`` draws them), stacked per mode
-and checked as one batch. In the loop each mode's iterate is a (K, n_i)
-array and lambda a length-K array, so one pass advances every live start,
+and checked as one batch. In the loop the iterate is one (K, sum n_i) array,
+its mode blocks views, and lambda a length-K array, so one pass advances
+every live start (joint and embed update, norm and rescale it whole),
 and a start leaves the batch when it converges, breaks down, reaches a zero
 eigenvalue (where the shift vanishes too) or a NaN one (an overflow), or
 reaches ``max_iter``. The loop keeps this bookkeeping, the shift safeguard
-and the stop rule; ``_update`` only maps each step's rows to the next. The
+and the stop rule; ``_update`` only maps each step's iterate to the next. The
 finished starts are phase-corrected, normalized and checked by residual in
 one stacked pass. Each step builds one right chain, A with modes m-1 down
 to k+1 contracted for every k, and mode k adds only its leading products
@@ -50,11 +51,10 @@ to k+1 contracted for every k, and mode k adds only its leading products
 One kernel, ``tensor._overlaps``, builds the chain and reads lambda from
 its link 0, for the loop's start, every step and ``overlap`` alike; the
 loop drops the old chain first, so two are never held at once. Every
-batched step (the contractions, the row
-dots and norms, the shift) makes, per row, the same BLAS call and
-arithmetic as a lone start, so each start's result is bitwise what it is
-alone, whatever K. ``solve`` and the single-start
-solvers are the batch of one, through the same start check and finish;
+batched step (the contractions, the row dots and norms, the shift) makes,
+per row, the same BLAS call and arithmetic as a lone start, so each
+start's result is bitwise what it is alone, whatever K. ``solve`` and the
+single-start solvers are the batch of one, through the same start check and finish;
 ``multi_start`` runs its starts in chunks whose chains hold about 2 MB.
 Each start's trace keeps lambda and the step error as two columns;
 ``IterationTrace.steps`` is derived from them.
@@ -79,7 +79,6 @@ verified residual exceeds 100 tol max(1, lam) has status ``"stalled"``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -92,6 +91,7 @@ from .tensor import (
     _as_vectors,
     _check_factor_dims,
     _contract_leading,
+    _is_integer,
     _joint_norms,
     _overlaps,
     _right_chain,
@@ -137,15 +137,6 @@ class ZeroEigenvalueError(SolverError):
 class BreakdownError(SolverError):
     """An update vector, or a vector or block of the final iterate, vanished,
     so normalization is undefined."""
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, booleans excluded."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,7 @@ def _check_starts(A: ComplexTensor, algorithm: str, rows: list[np.ndarray]):
             raise ValueError(f"start has length {rows[0].shape[1]}, embedding size is {n}")
     # Written as "not within" so that a NaN norm fails too.
     if algorithm == "joint":
-        if not np.all(np.abs(_joint_norms(rows) - 1.0) <= 1e-8):
+        if not np.all(np.abs(_joint_norms(np.concatenate(rows, axis=1), A.dims) - 1.0) <= 1e-8):
             raise ValueError("start factors must be jointly normalized")
         return
     for i, X in enumerate(rows, start=1):
@@ -315,13 +306,15 @@ def _vanished(nrm: np.ndarray, broken: dict, what: str, *args) -> np.ndarray:
     return nrm[:, None]
 
 
-def _update(algorithm: str, chain: list, rows: list[np.ndarray], lam: np.ndarray,
-            abs_lam: list[float], scales: np.ndarray, ending: dict, k: int) -> list:
-    """Step k's new rows from ``rows``, their right ``chain``, lam, |lam| and
-    shift scales c. Gauss-Seidel sweeps unshifted, each vector normalized at
-    once and read by the later modes, mode i reading the chain's old
-    vectors i+1..m-1; joint and embed update every mode from ``rows`` with
-    the shift c * m * |lam|^2 and normalize jointly. A row whose update
+def _update(algorithm: str, chain: list, V: np.ndarray, rows: list[np.ndarray],
+            lam: np.ndarray, abs_lam: list[float], scales: np.ndarray, ending: dict,
+            k: int) -> np.ndarray:
+    """Step k's new (K, sum n_i) iterate from V, its mode blocks ``rows``,
+    their right ``chain``, lam, |lam| and shift scales c. Gauss-Seidel sweeps
+    unshifted, each vector normalized at once and read by the later modes,
+    mode i reading the chain's old vectors i+1..m-1; joint and embed update
+    all of V at once, lam conj(C) + c m |lam|^2 V with C the modes'
+    contractions side by side, and normalize jointly. A row whose update
     vanished gets its ``BreakdownError`` in ``ending``."""
     lam_col = lam[:, None]
     if algorithm == "gauss_seidel":
@@ -331,15 +324,13 @@ def _update(algorithm: str, chain: list, rows: list[np.ndarray], lam: np.ndarray
             what = "update for mode {} vanished at iteration {}"
             update /= _vanished(_row_norms(update), ending, what, i + 1, k)
             new.append(update)
-        return new
-    shift = (scales * len(rows) * np.square(abs_lam))[:, None]
-    updates = [
-        lam_col * np.conj(_contract_leading(chain[i], rows, i)) + shift * X
-        for i, X in enumerate(rows)
-    ]
+        return np.concatenate(new, axis=1)
+    C = np.concatenate([_contract_leading(chain[i], rows, i) for i in range(len(rows))], axis=1)
+    U = lam_col * np.conj(C, out=C)
+    U += (scales * len(rows) * np.square(abs_lam))[:, None] * V
     what = "all update vectors vanished at iteration {}"
-    total = _vanished(_joint_norms(updates), ending, what, k)
-    return [u / total for u in updates]
+    U /= _vanished(_joint_norms(U, [X.shape[1] for X in rows]), ending, what, k)
+    return U
 
 
 def _iterate(
@@ -354,9 +345,11 @@ def _iterate(
 ) -> list:
     """The shifted power iteration of the module docstring, on K starts.
 
-    ``rows[i]`` holds the mode-i vectors of the starts, one per row (embed's
-    blocks for embed), and ``conj_data`` is the conjugated tensor they are
-    contracted with. Each step's new rows come from ``_update``, and each
+    ``rows`` holds the starts' vectors, one start per row, as arrays whose
+    columns side by side are the (K, sum n_i) iterate V: its mode blocks
+    (embed's for embed) or one array, joined once here. ``conj_data`` is the
+    conjugated tensor they are contracted with. The loop keeps V, its mode
+    blocks as views. Each step's new V comes from ``_update``, and each
     iterate's right chain and lam from ``tensor._overlaps``. The loop keeps
     the rest. Each start's c starts at ``scale`` and doubles whenever |lam|
     falls. A start stops once its step error is below ``tol`` and its every
@@ -369,7 +362,10 @@ def _iterate(
     Returns, per start, its final vectors, eigenvalue estimate and trace,
     or the ``SolverError`` that ended it.
     """
-    live = list(range(len(rows[0])))  # the start of each row
+    spans = [slice(e - n, e) for n, e in zip(conj_data.shape, np.cumsum(conj_data.shape))]
+    V = np.concatenate(rows, axis=1)
+    rows = [V[:, s] for s in spans]
+    live = list(range(len(V)))  # the start of each row
     results: list = [None] * len(live)
     chain, lam = _overlaps(conj_data, rows)
     traces = [IterationTrace([lam_j], [None]) for lam_j in lam.tolist()]
@@ -391,7 +387,9 @@ def _iterate(
         # cannot update, at a zero eigenvalue (the shift is zero too) or a
         # NaN one after an overflow (``_finish`` reports it), as if alone.
         ending = {j: finish(j) for j, a in enumerate(abs_lam) if not a > 0}
-        previous, rows = rows, _update(algorithm, chain, rows, lam, abs_lam, scales, ending, k)
+        P, previous = V, rows
+        V = _update(algorithm, chain, V, rows, lam, abs_lam, scales, ending, k)
+        rows = [V[:, s] for s in spans]
         del chain  # first, so that two chains are never held at once
         chain, lam = _overlaps(conj_data, rows)
         lams = lam.tolist()
@@ -406,13 +404,10 @@ def _iterate(
         # Stop candidates: step error below tol (NaN never is); each mode's
         # move then drops those that moved too far, while any are left.
         stopping = {j for j, e in enumerate(step_errors) if e < tol and j not in ending}
-        moves = zip(rows, previous)
-        if algorithm == "embed" and stopping:
-            moves = [(np.concatenate(rows, axis=1), np.concatenate(previous, axis=1))]
-        for X, P in moves:
+        for X, Y in [(V, P)] if algorithm == "embed" else zip(rows, previous):
             if not stopping:
                 break
-            disp = _row_norms(X - P).tolist()
+            disp = _row_norms(X - Y).tolist()
             stopping = {j for j in stopping if disp[j] < disp_tol}
         for j, (lam_j, step_error) in enumerate(zip(lams, step_errors)):
             if j in ending:
@@ -432,7 +427,8 @@ def _iterate(
             keep[list(ending)] = False
             if not keep.any():
                 return results
-            rows = [X[keep] for X in rows]
+            V = V[keep]
+            rows = [V[:, s] for s in spans]
             lam = lam[keep]
             abs_lam = [a for a, kept in zip(abs_lam, keep) if kept]
             scales = scales[keep]
@@ -471,14 +467,16 @@ def _finish(
     gain = 2.0**exponent
     unit = lift * gain
     results = list(outcomes)
+    index = [j for j, outcome in enumerate(outcomes) if not isinstance(outcome, SolverError)]
+    if not index:
+        return results
+    V = np.concatenate([v for j in index for v in outcomes[j][0]]).reshape(len(index), -1)
     done = []
-    for j, outcome in enumerate(outcomes):
-        if isinstance(outcome, SolverError):
-            continue
-        vecs, lam, trace = outcome
+    for row, (j, finite) in enumerate(zip(index, np.isfinite(V).all(axis=1).tolist())):
+        _, lam, trace = outcomes[j]
         lam = unit * lam if unit != 1.0 else lam
-        if math.isfinite(scale * abs(lam)) and all(np.isfinite(v).all() for v in vecs):
-            done.append((j, vecs, lam, trace))
+        if math.isfinite(scale * abs(lam)) and finite:
+            done.append((j, row, lam, trace))
         else:
             # The iteration overflowed: a numerical failure of the start, not
             # an input error. The other starts finish without it.
@@ -487,13 +485,14 @@ def _finish(
             )
     if not done:
         return results
-    index, vecs, lams, traces = zip(*done)
+    index, picked, lams, traces = zip(*done)
     if unit != 1.0:
         for trace in traces:
             trace.lams = [unit * lam for lam in trace.lams]
             trace.step_errors = [None] + [unit * e for e in trace.step_errors[1:]]
     phases = np.array([complex(abs(lam) / lam) ** (1.0 / m) for lam in lams])[:, None]
-    rows = [phases * np.stack(col) for col in zip(*vecs)]
+    V = phases * V[list(picked)]
+    rows = np.split(V, np.cumsum(A.dims[:-1]), axis=1)
     broken = {}
     what = "block" if embed else "vector"
     factors = [
@@ -529,9 +528,7 @@ def _solve_batch(
     conj_data, exponent = _scaled_conj(A)
     tol = cfg.tol * 2.0**-exponent
     if cfg.algorithm == "embed":
-        # Joint's loop on embed's blocks, stopping on |lam_S| = m! |lam|.
-        rows = np.split(rows[0], np.cumsum(A.dims[:-1]), axis=1)
-        tol /= math.factorial(m)
+        tol /= math.factorial(m)  # joint's loop on embed's blocks: |lam_S| = m! |lam|
     # Embed and joint return their iterates rescaled by sqrt(m); settling
     # the iterates m times tighter keeps their accuracy at tol with margin.
     disp_tol = cfg.tol if cfg.algorithm == "gauss_seidel" else cfg.tol / m
@@ -614,7 +611,7 @@ def _random_rows(
         rows.append(parts[:, at:at + n] + 1j * parts[:, at + n:at + 2 * n])
         at += 2 * n
     if algorithm == "joint":
-        totals = _joint_norms(rows)[:, None]
+        totals = _joint_norms(np.concatenate(rows, axis=1), sizes)[:, None]
         return [X / totals for X in rows]
     return [X / _row_norms(X)[:, None] for X in rows]
 

@@ -8,6 +8,7 @@ indexed 0-based as usual for numpy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ class RankOneFactors:
     def joint(cls, vectors: Iterable[np.ndarray]) -> "RankOneFactors":
         """Scale all vectors so their squared norms sum to one."""
         vecs = cls(tuple(vectors)).vectors
-        total = _joint_norms([v[None] for v in vecs])[0]
+        total = _joint_norms(np.concatenate(vecs)[None], [len(v) for v in vecs])[0]
         if total == 0:
             raise ValueError("cannot normalize all-zero factors")
         return cls(tuple(v / total for v in vecs))
@@ -162,8 +163,8 @@ def _check_dense_size(dims: tuple[int, ...], what: str):
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise sum a * b of two (K, n) arrays, one stacked BLAS dot each."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Row-wise sum a * b of two (..., n) arrays, one stacked BLAS dot each."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _row_norms(U: np.ndarray) -> np.ndarray:
@@ -173,10 +174,14 @@ def _row_norms(U: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot_rows(re, re) + _dot_rows(im, im))
 
 
-def _joint_norms(rows) -> np.ndarray:
-    """Per row j, sqrt(sum_i ||rows[i][j]||^2), ``rows[i]`` holding K vectors
-    one per row: each row's squares summed in Python, bitwise a lone row's."""
-    squares = [_dot_rows(np.conj(X), X).real.tolist() for X in rows]
+def _joint_norms(V: np.ndarray, dims) -> np.ndarray:
+    """Per row j of V, sqrt(sum_i ||x_j(i)||^2), the row holding vectors x_j(i)
+    of ``dims[i]`` entries side by side: one stacked dot per run of equal
+    dims, each row's squares summed in Python, bitwise a lone row's."""
+    conj, squares, at = np.conj(V), [], 0
+    for shape in [(len(V), len(list(run)), n) for n, run in itertools.groupby(dims)]:
+        block, at = np.s_[:, at:at + shape[1] * shape[2]], at + shape[1] * shape[2]
+        squares += _dot_rows(conj[block].reshape(shape), V[block].reshape(shape)).real.T.tolist()
     return np.array([math.sqrt(sum(sq)) for sq in zip(*squares)])
 
 
@@ -318,11 +323,14 @@ def tensor_to_json(T: ComplexTensor) -> dict:
 _ENTRY_FORM = '{"idx": [...], "re": x, "im": y}'
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, booleans excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_int_list(x) -> bool:
     """Whether ``x`` is a list of ints, booleans excluded."""
-    return isinstance(x, list) and all(
-        isinstance(i, int) and not isinstance(i, bool) for i in x
-    )
+    return isinstance(x, list) and all(_is_integer(i) for i in x)
 
 
 def _entry_from_json(pos: int, e) -> tuple[tuple[int, ...], complex]:

@@ -33,6 +33,7 @@ from ueigen.tensor import (  # noqa: E402
     _right_chain,
     _row_norms,
 )
+from ueigen.solvers import ALGORITHMS, _iterate, _random_rows  # noqa: E402
 from conftest import random_tensor, reference_sampling_bound  # noqa: E402
 
 
@@ -76,17 +77,25 @@ def _lone_contraction(conj_data, vecs, k0):
 
 @hypothesis.settings(derandomize=True, deadline=None)
 @hypothesis.given(
-    dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    # Runs of equal dims: the joint norm takes one stacked dot per run.
+    dims=st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+                   st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=6)),
     starts=st.integers(1, 5),
+    views=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
+def test_batched_rows_are_bitwise_lone_rows(dims, starts, views, seed):
     # The solvers' starts stay bitwise independent of the batch because
-    # every row of a batched kernel is the computation a lone row makes.
+    # every row of a batched kernel is the computation a lone row makes,
+    # also when the rows are the column blocks of one array, as the
+    # solvers keep them.
     rng = np.random.default_rng(seed)
     conj_data = np.conj(random_tensor(rng, tuple(dims)).data)
     rows = [rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
             for d in dims]
+    if views:
+        V = np.concatenate(rows, axis=1)
+        rows = np.split(V, np.cumsum(dims[:-1]), axis=1)
     chain = _right_chain(conj_data, rows)
     for k0, d in enumerate(dims):
         # Order one reads no factor and gives one row for every start.
@@ -100,9 +109,45 @@ def test_batched_rows_are_bitwise_lone_rows(dims, starts, seed):
         for r in range(starts):
             assert norms[r] == np.linalg.norm(X[r])
             assert squares[r] == np.real(np.vdot(X[r], X[r]))
-    joint = _joint_norms(rows)
+    joint = _joint_norms(np.concatenate(rows, axis=1), dims)
     for r in range(starts):
         assert joint[r] == math.sqrt(sum(float(np.real(np.vdot(X[r], X[r]))) for X in rows))
+
+
+def _outcome_bytes(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    vecs, lam, trace = outcome
+    return ([v.tobytes() for v in vecs], repr(lam), repr(trace.lams), repr(trace.step_errors),
+            trace.status, trace.shift_scale,
+            [[v.tobytes() for v in it] for it in trace.iterates])
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+@hypothesis.given(
+    dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=5),
+    starts=st.integers(1, 4),
+    algorithm=st.sampled_from(ALGORITHMS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_iterate_reads_views_as_contiguous_rows(dims, starts, algorithm, seed):
+    # The loop keeps its K starts as one (K, sum n_i) array and contracts
+    # its column blocks as views: starts given as views of one array end
+    # with the bytes that starts given as separate contiguous rows do.
+    rng = np.random.default_rng(seed)
+    conj_data = np.conj(random_tensor(rng, tuple(dims)).data)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(starts)]
+    # Embed iterates its unit vector as jointly normalized blocks.
+    normalization = "gauss_seidel" if algorithm == "gauss_seidel" else "joint"
+    V = np.concatenate(_random_rows(rngs, dims, normalization), axis=1)
+    views = np.split(V, np.cumsum(dims[:-1]), axis=1)
+    contiguous = [np.ascontiguousarray(X) for X in views]
+    assert not any(X.flags.c_contiguous for X in views[1:]) or starts == 1
+    results = [
+        [_outcome_bytes(o) for o in _iterate(conj_data, rows, algorithm, 1.0, 1e-9, 1e-9, 40, True)]
+        for rows in (views, contiguous)
+    ]
+    assert results[0] == results[1]
 
 
 @hypothesis.settings(derandomize=True, deadline=None)

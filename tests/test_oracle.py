@@ -208,6 +208,24 @@ class TestSamplingOracle:
         with pytest.raises(ValueError):
             sampling_oracle(example_4_1().tensor, samples=0)
 
+    @pytest.mark.parametrize("oracle_fn", [sampling_oracle, evaluate_oracles])
+    @pytest.mark.parametrize("name, value", [
+        ("samples", 2.5), ("samples", True), ("seed", 1.5), ("seed", True),
+    ])
+    def test_rejects_non_integer_arguments(self, oracle_fn, name, value):
+        # These raised TypeError from range or SeedSequence, or ran one
+        # sample (samples=True) or seed 1 (seed=True) as if they were ints.
+        kwargs = {"samples": 10, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            oracle_fn(example_4_1().tensor, **kwargs)
+
+    def test_takes_numpy_integers(self):
+        T = example_4_2().tensor
+        bound = sampling_oracle(T, samples=np.int64(500), seed=np.uint8(3))
+        assert bound == sampling_oracle(T, samples=500, seed=3)
+        rows = evaluate_oracles(T, samples=np.int32(500), seed=np.int64(3))
+        assert rows[0].lambda_lower_bound == bound and rows[0].samples == 500
+
 
 class TestOrthogonalSumOracle:
     """The inputs the orthogonal-sum search was tested on, now checked
