@@ -35,10 +35,10 @@ errors, the eigenvalue and the residual back by 2^e, which is exact, and
 ``residual`` is its residual for one pair. All three finish alike there,
 checked by one residual rule below.
 
-A run is a batch of K starts from end to end. The starts are drawn (each
-from its own generator, as ``random_start`` draws them), stacked per mode
-and checked as one batch. In the loop the iterate is one (K, sum n_i) array,
-its mode blocks views, and lambda a length-K array, so one pass advances
+A run is a batch of K starts, one (K, sum n_i) array with a start a row
+from end to end: the starts are drawn into it (each from its own generator,
+as ``random_start`` draws it), checked, iterated and finished. Its mode
+blocks are views, and lambda a length-K array, so one pass advances
 every live start (joint and embed update, norm and rescale it whole),
 and a start leaves the batch when it converges, breaks down, reaches a zero
 eigenvalue (where the shift vanishes too) or a NaN one (an overflow), or
@@ -97,6 +97,7 @@ from .tensor import (
     _right_chain,
     _row_norms,
     _scaled_conj,
+    _spans,
 )
 
 __all__ = [
@@ -237,44 +238,44 @@ class UEigenpair:
         return self.trace.converged
 
 
-def _start_rows(A: ComplexTensor, algorithm: str, start) -> list[np.ndarray]:
-    """The vectors of one ``solve`` start as a batch of one: a (1, n_i) row
-    per vector, checked later by ``_check_starts`` like every other batch."""
+def _start_rows(A: ComplexTensor, algorithm: str, start) -> np.ndarray:
+    """One ``solve`` start as a batch of one: its contiguous (1, sum n_i)
+    row, checked later by ``_check_starts`` like every other batch."""
     if algorithm == "embed":
-        vecs = [np.asarray(start, dtype=np.complex128).reshape(-1)]
-    else:
-        vecs = _as_vectors(start)
-        _check_factor_dims(A, vecs)
-    return [np.stack([v]) for v in vecs]
+        return np.ascontiguousarray(start, dtype=np.complex128).reshape(1, -1)
+    vecs = _as_vectors(start)
+    _check_factor_dims(A, vecs)
+    return np.concatenate(vecs)[None]
 
 
-def _check_starts(A: ComplexTensor, algorithm: str, rows: list[np.ndarray]):
-    """Check K starts, ``rows[i]`` holding their vector i one per row, against
-    the normalization that ``algorithm`` iterates in (see ``random_start``)."""
+def _check_starts(A: ComplexTensor, algorithm: str, V: np.ndarray):
+    """Check K starts, one per row of V, against the normalization that
+    ``algorithm`` iterates in (see ``random_start``)."""
     if algorithm == "embed":
         if A.order < 2:
             raise ValueError("symmetric embedding needs an order >= 2 tensor")
         n = sum(A.dims)
-        if rows[0].shape[1] != n:
-            raise ValueError(f"start has length {rows[0].shape[1]}, embedding size is {n}")
+        if V.shape[1] != n:
+            raise ValueError(f"start has length {V.shape[1]}, embedding size is {n}")
     # Written as "not within" so that a NaN norm fails too.
     if algorithm == "joint":
-        if not np.all(np.abs(_joint_norms(np.concatenate(rows, axis=1), A.dims) - 1.0) <= 1e-8):
+        if not np.all(np.abs(_joint_norms(V, A.dims) - 1.0) <= 1e-8):
             raise ValueError("start factors must be jointly normalized")
         return
-    for i, X in enumerate(rows, start=1):
-        if not np.all(np.abs(_row_norms(X) - 1.0) <= 1e-8):
+    for i, s in enumerate(_spans([V.shape[1]] if algorithm == "embed" else A.dims), start=1):
+        if not np.all(np.abs(_row_norms(V[:, s]) - 1.0) <= 1e-8):
             raise ValueError(
                 "start vector must have unit norm" if algorithm == "embed"
                 else f"start vector for mode {i} must have unit norm"
             )
 
 
-def _residuals(conj_data: np.ndarray, eigenvalues, rows: list[np.ndarray]) -> list[float]:
-    """Per row j: max over modes k of || contract_excluding(A, x_j, k) -
-    eigenvalues[j] conj(x_j(k)) ||, read from one right chain, each row
-    bitwise what it is alone."""
+def _residuals(conj_data: np.ndarray, eigenvalues, V: np.ndarray) -> list[float]:
+    """Per row j of V, the vectors x_j side by side: max over modes k of
+    || contract_excluding(A, x_j, k) - eigenvalues[j] conj(x_j(k)) ||, read
+    from one right chain, each row bitwise what it is alone."""
     eig = np.array(eigenvalues, dtype=float)[:, None]
+    rows = [V[:, s] for s in _spans(conj_data.shape)]
     chain = _right_chain(conj_data, rows)
     norms = [
         _row_norms(_contract_leading(chain[k], rows, k) - eig * np.conj(X)).tolist()
@@ -291,8 +292,8 @@ def residual(A: ComplexTensor, pair: UEigenpair) -> float:
     _check_factor_dims(A, pair.factors.vectors)
     conj_data, exponent = _scaled_conj(A)
     gain = 2.0**exponent
-    rows = [v[None] for v in pair.factors.vectors]
-    return _residuals(conj_data, [pair.eigenvalue / gain], rows)[0] * gain
+    V = np.concatenate(pair.factors.vectors)[None]
+    return _residuals(conj_data, [pair.eigenvalue / gain], V)[0] * gain
 
 
 def _vanished(nrm: np.ndarray, broken: dict, what: str, *args) -> np.ndarray:
@@ -335,7 +336,7 @@ def _update(algorithm: str, chain: list, V: np.ndarray, rows: list[np.ndarray],
 
 def _iterate(
     conj_data: np.ndarray,
-    rows: list[np.ndarray],
+    V: np.ndarray,
     algorithm: str,
     scale: float,
     tol: float,
@@ -345,25 +346,24 @@ def _iterate(
 ) -> list:
     """The shifted power iteration of the module docstring, on K starts.
 
-    ``rows`` holds the starts' vectors, one start per row, as arrays whose
-    columns side by side are the (K, sum n_i) iterate V: its mode blocks
-    (embed's for embed) or one array, joined once here. ``conj_data`` is the
-    conjugated tensor they are contracted with. The loop keeps V, its mode
-    blocks as views. Each step's new V comes from ``_update``, and each
+    V holds the starts, one per row, as the (K, sum n_i) iterate.
+    ``conj_data`` is the conjugated tensor they are contracted with. The
+    loop keeps V, its mode blocks as column views: these need unit element
+    stride and may have any row stride, so V may be a row or column slice of
+    a wider array. Each step's new V comes from ``_update``, and each
     iterate's right chain and lam from ``tensor._overlaps``. The loop keeps
     the rest. Each start's c starts at ``scale`` and doubles whenever |lam|
     falls. A start stops once its step error is below ``tol`` and its every
     vector move below ``disp_tol``; embed's blocks move as one vector, and
-    the moves are measured mode by mode, for the starts that can still
-    stop. Every row is computed as it would be alone. A start leaves the
-    batch when it converges, breaks down, reaches a zero or NaN eigenvalue
-    or reaches ``max_iter``.
+    the moves are measured mode by mode, for the starts that can still stop.
+    Every row is computed as it would be alone. A start leaves the batch
+    when it converges, breaks down, reaches a zero or NaN eigenvalue or
+    reaches ``max_iter``.
 
-    Returns, per start, its final vectors, eigenvalue estimate and trace,
-    or the ``SolverError`` that ended it.
+    Returns, per start, a copy of its final row, its eigenvalue estimate
+    and trace, or the ``SolverError`` that ended it.
     """
-    spans = [slice(e - n, e) for n, e in zip(conj_data.shape, np.cumsum(conj_data.shape))]
-    V = np.concatenate(rows, axis=1)
+    spans = _spans(conj_data.shape)
     rows = [V[:, s] for s in spans]
     live = list(range(len(V)))  # the start of each row
     results: list = [None] * len(live)
@@ -371,7 +371,7 @@ def _iterate(
     traces = [IterationTrace([lam_j], [None]) for lam_j in lam.tolist()]
     if record_iterates:
         for j, trace in enumerate(traces):
-            trace.iterates = [[X[j].copy() for X in rows]]
+            trace.iterates = [V[j].copy()]
     abs_lam = [abs(trace.lams[0]) for trace in traces]
     scales = np.full(len(live), float(scale))
 
@@ -380,7 +380,7 @@ def _iterate(
         if lam_j == 0:
             return ZeroEigenvalueError("iteration terminated at a zero eigenvalue")
         traces[live[j]].shift_scale = float(scales[j])
-        return [X[j].copy() for X in rows], lam_j, traces[live[j]]
+        return V[j].copy(), lam_j, traces[live[j]]
 
     for k in range(1, max_iter + 1):
         # The rows that end this step, with their outcomes: first those that
@@ -416,7 +416,7 @@ def _iterate(
             trace.lams.append(lam_j)
             trace.step_errors.append(step_error)
             if record_iterates:
-                trace.iterates.append([X[j].copy() for X in rows])
+                trace.iterates.append(V[j].copy())
             if j in stopping:
                 trace.status = "converged"
                 ending[j] = finish(j)
@@ -447,14 +447,14 @@ def _finish(
 ) -> list:
     """The eigenpairs of A from finished iterations, checked by residual.
 
-    ``outcomes`` are ``_iterate``'s on ``conj_data`` = conj(A) 2^-exponent,
-    embed's as blocks. One pass passes their errors through and turns a
-    start whose eigenvalue or iterate is not finite (an overflow) into a
-    ``SolverError``. The others' lambdas and traces go back to A's units
-    (lambda_S = m! lambda for embed, whose iterates are joined back into one
-    vector) and finish in one stacked pass, each row bitwise as alone: the
+    ``outcomes`` are ``_iterate``'s on ``conj_data`` = conj(A) 2^-exponent.
+    One pass passes their errors through and turns a start whose eigenvalue
+    or iterate is not finite (an overflow) into a ``SolverError``. The
+    others' lambdas and traces go back to A's units (lambda_S = m! lambda
+    for embed; joint's and Gauss-Seidel's iterates are split into their
+    vectors) and finish in one stacked pass, each row bitwise as alone: the
     iterate is rotated by a principal m-th root of |lam| / lam, and the
-    factors are its vectors rescaled to unit norm, one that vanished being a
+    factors are its blocks rescaled to unit norm, one that vanished being a
     ``BreakdownError``. The eigenvalue is |lam| times (sqrt(m))^m / m! for
     embed, (sqrt(m))^m for joint and 1 for Gauss-Seidel.
     A converged trace whose residual exceeds 100 tol max(1, eigenvalue)
@@ -470,7 +470,7 @@ def _finish(
     index = [j for j, outcome in enumerate(outcomes) if not isinstance(outcome, SolverError)]
     if not index:
         return results
-    V = np.concatenate([v for j in index for v in outcomes[j][0]]).reshape(len(index), -1)
+    V = np.array([outcomes[j][0] for j in index])
     done = []
     for row, (j, finite) in enumerate(zip(index, np.isfinite(V).all(axis=1).tolist())):
         _, lam, trace = outcomes[j]
@@ -492,38 +492,36 @@ def _finish(
             trace.step_errors = [None] + [unit * e for e in trace.step_errors[1:]]
     phases = np.array([complex(abs(lam) / lam) ** (1.0 / m) for lam in lams])[:, None]
     V = phases * V[list(picked)]
-    rows = np.split(V, np.cumsum(A.dims[:-1]), axis=1)
+    spans = _spans(A.dims)
     broken = {}
-    what = "block" if embed else "vector"
-    factors = [
-        X / _vanished(_row_norms(X), broken, f"final {what} for mode {i + 1} vanished")
-        for i, X in enumerate(rows)
-    ]
+    what = "final " + ("block" if embed else "vector") + " for mode {} vanished"
+    for i, s in enumerate(spans, start=1):
+        V[:, s] /= _vanished(_row_norms(V[:, s]), broken, what, i)
     eigenvalues = [scale * abs(lam) for lam in lams]
-    residuals = _residuals(conj_data, [e / gain for e in eigenvalues], factors)
+    residuals = _residuals(conj_data, [e / gain for e in eigenvalues], V)
     for row, (j, eigenvalue, res, trace) in enumerate(zip(index, eigenvalues, residuals, traces)):
         if row in broken:
             results[j] = broken[row]
             continue
         res *= gain
-        if embed and trace.iterates is not None:
-            trace.iterates = [np.concatenate(it) for it in trace.iterates]
+        if not embed and trace.iterates is not None:
+            trace.iterates = [[it[s] for s in spans] for it in trace.iterates]
         if trace.converged and res > 100 * cfg.tol * max(1.0, eigenvalue):
             trace.status = "stalled"
-        pair_factors = RankOneFactors(tuple(F[row] for F in factors))
+        pair_factors = RankOneFactors(tuple(V[row, s] for s in spans))
         results[j] = UEigenpair(eigenvalue, pair_factors, res, trace)
     return results
 
 
 def _solve_batch(
-    A: ComplexTensor, cfg: SolverConfig, rows: list[np.ndarray], record_iterates: bool = False,
+    A: ComplexTensor, cfg: SolverConfig, V: np.ndarray, record_iterates: bool = False,
 ) -> list:
-    """Run ``cfg.algorithm`` from K starts, ``rows[i]`` holding their vector
-    i one per row, in chunks whose chains (sum(prod(dims[:k]), k = 1..m-1)
-    entries a start) hold about 2 MB; per start, its eigenpair or the
-    ``SolverError`` that ended it. A chunk peaks at its chain plus the last
-    mode's first leading product, prod(dims[1:]) entries a start."""
-    _check_starts(A, cfg.algorithm, rows)
+    """Run ``cfg.algorithm`` from K starts, one per row of V, in chunks of
+    rows whose chains (sum(prod(dims[:k]), k = 1..m-1) entries a start) hold
+    about 2 MB; per start, its eigenpair or the ``SolverError`` that ended
+    it. A chunk peaks at its chain plus the last mode's first leading
+    product, prod(dims[1:]) entries a start."""
+    _check_starts(A, cfg.algorithm, V)
     m = A.order
     conj_data, exponent = _scaled_conj(A)
     tol = cfg.tol * 2.0**-exponent
@@ -534,9 +532,9 @@ def _solve_batch(
     disp_tol = cfg.tol if cfg.algorithm == "gauss_seidel" else cfg.tol / m
     chunk = max(1, _CHUNK_ENTRIES // (sum(math.prod(A.dims[:k]) for k in range(1, m)) or 1))
     outcomes = []
-    for first in range(0, len(rows[0]), chunk):
+    for first in range(0, len(V), chunk):
         outcomes += _finish(A, cfg, conj_data, _iterate(
-            conj_data, [X[first:first + chunk] for X in rows], cfg.algorithm, cfg.alpha,
+            conj_data, V[first:first + chunk], cfg.algorithm, cfg.alpha,
             tol, disp_tol, cfg.max_iter, record_iterates,
         ), exponent)
     return outcomes
@@ -597,23 +595,22 @@ def solve_gauss_seidel(
 
 def _random_rows(
     rngs: Sequence[np.random.Generator], dims: Sequence[int], algorithm: str
-) -> list[np.ndarray]:
-    """One ``random_start`` per generator, as a (K, n_i) array per vector
-    with one start per row: the same draws and, per row, the same
-    normalization, bitwise: one draw of 2 sum(n_i) normals a start, sliced
-    in its order, as a stream does not depend on how calls split it."""
+) -> np.ndarray:
+    """One ``random_start`` per generator, as the (K, sum n_i) batch with
+    one start per row: the same draws and, per row, the same normalization,
+    bitwise: one draw of 2 sum(n_i) normals a start, sliced in its order,
+    as a stream does not depend on how calls split it."""
     sizes = [int(sum(dims))] if algorithm == "embed" else [int(d) for d in dims]
     parts = np.empty((len(rngs), 2 * sum(sizes)))
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=parts[j])
-    rows, at = [], 0
-    for n in sizes:  # each vector's real, then imaginary parts
-        rows.append(parts[:, at:at + n] + 1j * parts[:, at + n:at + 2 * n])
-        at += 2 * n
+    V = np.empty((len(rngs), sum(sizes)), dtype=np.complex128)
+    for s, n in zip(_spans(sizes), sizes):  # each vector's real, then imaginary parts
+        X = parts[:, 2 * s.start:2 * s.start + n] + 1j * parts[:, 2 * s.start + n:2 * s.stop]
+        V[:, s] = X if algorithm == "joint" else X / _row_norms(X)[:, None]
     if algorithm == "joint":
-        totals = _joint_norms(np.concatenate(rows, axis=1), sizes)[:, None]
-        return [X / totals for X in rows]
-    return [X / _row_norms(X)[:, None] for X in rows]
+        V /= _joint_norms(V, sizes)[:, None]
+    return V
 
 
 def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):
@@ -627,8 +624,8 @@ def random_start(rng: np.random.Generator, dims: Sequence[int], algorithm: str):
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    vecs = [X[0] for X in _random_rows([rng], dims, algorithm)]
-    return vecs[0] if algorithm == "embed" else RankOneFactors(tuple(vecs))
+    x = _random_rows([rng], dims, algorithm)[0]
+    return x if algorithm == "embed" else RankOneFactors(tuple(x[s] for s in _spans(dims)))
 
 
 @dataclass(frozen=True)

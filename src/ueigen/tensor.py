@@ -74,14 +74,15 @@ class ComplexTensor:
 
 @dataclass(frozen=True)
 class RankOneFactors:
-    """Tuple of per-mode complex vectors defining a rank-one tensor."""
+    """Tuple of per-mode complex vectors defining a rank-one tensor, each a
+    read-only contiguous copy of the vector given."""
 
     vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         vecs = []
         for v in self.vectors:
-            arr = np.asarray(v, dtype=np.complex128).reshape(-1)
+            arr = np.array(v, dtype=np.complex128).reshape(-1)
             if not np.isfinite(arr).all():
                 raise ValueError("factor entries must be finite")
             arr.flags.writeable = False
@@ -119,11 +120,12 @@ class RankOneFactors:
 
 
 def _as_vectors(factors) -> tuple[np.ndarray | None, ...]:
-    """Accept RankOneFactors or a plain sequence of vectors (None allowed)."""
+    """Accept RankOneFactors or a plain sequence of vectors (None allowed),
+    read as contiguous vectors: the kernels' sums depend on the strides."""
     if isinstance(factors, RankOneFactors):
         return factors.vectors
     return tuple(
-        None if v is None else np.asarray(v, dtype=np.complex128).reshape(-1)
+        None if v is None else np.ascontiguousarray(v, dtype=np.complex128).reshape(-1)
         for v in factors
     )
 
@@ -174,6 +176,11 @@ def _row_norms(U: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot_rows(re, re) + _dot_rows(im, im))
 
 
+def _spans(sizes) -> list[slice]:
+    """The column span of each block of ``sizes`` entries, side by side."""
+    return [slice(*p) for p in itertools.pairwise(itertools.accumulate(map(int, sizes), initial=0))]
+
+
 def _joint_norms(V: np.ndarray, dims) -> np.ndarray:
     """Per row j of V, sqrt(sum_i ||x_j(i)||^2), the row holding vectors x_j(i)
     of ``dims[i]`` entries side by side: one stacked dot per run of equal
@@ -203,7 +210,9 @@ def _right_chain(conj_data: np.ndarray, rows, stop: int = 0) -> list[np.ndarray]
     array, one stacked matrix-vector product a mode; ``rows[:stop + 1]``
     are never read, and the last link is ``conj_data[None]``, one row for
     all. numpy runs each stacked slice as the BLAS call a lone row makes,
-    so every row is bitwise independent of the other rows and of K."""
+    so every row is bitwise independent of the other rows and of K. That
+    holds for blocks with unit element stride, at any row stride; another
+    element stride can change the sums."""
     dims = conj_data.shape
     chain = [conj_data[None]]
     for i in range(len(dims) - 1, stop, -1):

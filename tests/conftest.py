@@ -6,6 +6,14 @@ import pytest
 
 from ueigen import SolverConfig, catalog, contract_excluding, multi_start, overlap
 
+try:
+    import hypothesis
+except ImportError:  # the property modules skip themselves without it
+    pass
+else:
+    # ``--hypothesis-profile=ci`` runs each property at 500 examples.
+    hypothesis.settings.register_profile("ci", max_examples=500)
+
 
 def random_tensor(rng, dims):
     data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)

@@ -578,12 +578,12 @@ class TestMultiStart:
         X = np.eye(3, dtype=complex)
         if not gauss_seidel:
             X /= math.sqrt(2)
-        results = _iterate(conj_data, [X, X], algorithm, 1.0, 1e-9, 1e-9, 10, False)
+        results = _iterate(conj_data, np.hstack([X, X]), algorithm, 1.0, 1e-9, 1e-9, 10, False)
         assert isinstance(results[1], BreakdownError)
         assert str(results[1]) == message
         for row in (0, 2):
-            vecs, lam, trace = results[row]
-            assert all(np.allclose(vec, X[row], rtol=0, atol=1e-15) for vec in vecs)
+            final, lam, trace = results[row]
+            assert all(np.allclose(vec, X[row], rtol=0, atol=1e-15) for vec in np.split(final, 2))
             assert trace.status == "converged" and trace.iterations == 1
 
     def test_nan_row_does_not_delay_another_rows_stop(self):
@@ -592,9 +592,10 @@ class TestMultiStart:
         # over the rows' step errors was NaN, and row 1 took two steps.
         conj_data = np.diag([1.0, 0.7, 0.5]).astype(complex)
         X = np.array([[math.nan, 0, 0], [0, 1, 0]], dtype=complex)
+        V = np.hstack([X, X])
         with np.errstate(invalid="ignore"):  # row 0's NaN arithmetic
-            results = _iterate(conj_data, [X, X], "gauss_seidel", 1.0, 1e-9, 1e-9, 10, False)
-        (alone,) = _iterate(conj_data, [X[1:], X[1:]], "gauss_seidel", 1.0, 1e-9, 1e-9, 10, False)
+            results = _iterate(conj_data, V, "gauss_seidel", 1.0, 1e-9, 1e-9, 10, False)
+        (alone,) = _iterate(conj_data, V[1:], "gauss_seidel", 1.0, 1e-9, 1e-9, 10, False)
         assert results[1][2].iterations == alone[2].iterations == 1
 
     @pytest.mark.parametrize("algorithm", ["joint", "embed"])
@@ -604,10 +605,10 @@ class TestMultiStart:
         # max_iter; ``_finish`` then reports the overflow.
         A = ex41.tensor
         start = random_start(np.random.default_rng(0), A.dims, "joint")
-        rows = [v[None] for v in start.vectors]
+        V = np.hstack(start.vectors)[None]
         with pytest.warns(RuntimeWarning):
-            ((vecs, lam, trace),) = _iterate(
-                np.conj(A.data), rows, algorithm, 1e300, 1e-9, 1e-9, 5000, False
+            ((final, lam, trace),) = _iterate(
+                np.conj(A.data), V, algorithm, 1e300, 1e-9, 1e-9, 5000, False
             )
         assert not cmath.isfinite(lam) and trace.iterations <= 2
 
@@ -622,7 +623,7 @@ class TestMultiStart:
         good = [e0, e1, e0]
         vecs = [[e0, 0 * e0, e0], good]  # embed's too: _finish reads blocks
         cfg = SolverConfig(algorithm=algorithm)
-        outcomes = [(v, 0.5 + 0j, IterationTrace([0.5 + 0j], [None])) for v in vecs]
+        outcomes = [(np.hstack(v), 0.5 + 0j, IterationTrace([0.5 + 0j], [None])) for v in vecs]
         conj_data = np.conj(ex41.tensor.data)
         results = _finish(ex41.tensor, cfg, conj_data, outcomes)
         assert isinstance(results[0], BreakdownError)
@@ -647,8 +648,8 @@ class TestMultiStart:
         e0, e1 = np.eye(2, dtype=complex)
         good = [e0, e1, e0]
         outcomes = [
-            ([e0, np.array([0, bad]), e0], bad, IterationTrace([bad], [None])),
-            (good, 0.5 + 0j, IterationTrace([0.5 + 0j], [None])),
+            (np.hstack([e0, np.array([0, bad]), e0]), bad, IterationTrace([bad], [None])),
+            (np.hstack(good), 0.5 + 0j, IterationTrace([0.5 + 0j], [None])),
         ]
         cfg = SolverConfig(algorithm="gauss_seidel")
         conj_data = np.conj(ex41.tensor.data)
@@ -811,8 +812,8 @@ def test_random_rows_draw_in_the_documented_order(dims, algorithm):
             return [v / total for v in vecs]
         return [v / np.linalg.norm(v) for v in vecs]
 
-    rows = solvers._random_rows(rngs(), dims, algorithm)
+    V = solvers._random_rows(rngs(), dims, algorithm)
     for j, (rng, solo) in enumerate(zip(rngs(), rngs())):
-        expected = [v.tobytes() for v in reference(rng)]
-        assert [X[j].tobytes() for X in rows] == expected
-        assert [X[0].tobytes() for X in solvers._random_rows([solo], dims, algorithm)] == expected
+        expected = np.concatenate(reference(rng)).tobytes()
+        assert V[j].tobytes() == expected
+        assert solvers._random_rows([solo], dims, algorithm)[0].tobytes() == expected

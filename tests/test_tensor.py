@@ -5,11 +5,13 @@ import pytest
 
 from ueigen import (
     RankOneFactors,
+    catalog,
     contract_excluding,
     from_array,
     from_sparse,
     norm,
     overlap,
+    random_start,
     rank_one,
     tensor_from_json,
     tensor_to_json,
@@ -187,6 +189,22 @@ class TestContractExcluding:
                 back = np.sum(f[k - 1] * contract_excluding(T, f, k))
                 assert back == pytest.approx(ov, abs=1e-10)
 
+    def test_strided_factors_read_as_contiguous(self):
+        # The kernels' sums depend on the strides of the vectors they read,
+        # so a factor given as every other entry of a wider array gives the
+        # bytes of its contiguous copy.
+        T = catalog.build("example_4_6").tensor
+        for seed in range(20):
+            f = random_start(np.random.default_rng(seed), T.dims, "gauss_seidel").vectors
+            strided = []
+            for v in f:
+                wide = np.zeros(2 * len(v), dtype=complex)
+                wide[::2] = v
+                strided.append(wide[::2])
+            for k in range(1, T.order + 1):
+                got = contract_excluding(T, strided, k)
+                assert got.tobytes() == contract_excluding(T, f, k).tobytes()
+
     def test_mode_out_of_range(self, ex41):
         with pytest.raises(ValueError, match="out of range"):
             contract_excluding(ex41.tensor, (E1, E1, E1), 4)
@@ -284,6 +302,14 @@ class TestRankOneFactors:
         raw = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 4)]
         f = RankOneFactors.joint(raw)
         assert sum(n * n for n in f.norms()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_vectors_are_copies(self):
+        # The factors own their vectors: writing to the caller's array
+        # later does not reach them.
+        v = np.array([0.6, 0.8j])
+        f = RankOneFactors((v,))
+        v[0] = 5
+        assert f.vectors[0][0] == 0.6
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
